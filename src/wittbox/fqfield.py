@@ -22,14 +22,34 @@ DEFAULT_MODULI = {
 }
 
 
+# Miller-Rabin with the twelve primes up to 37 is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 2017); larger p are refused, and
+# no such p is in scope for exact enumeration anyway.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below `_MR_LIMIT`."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -40,28 +60,27 @@ def _polydeg(c):
     return -1
 
 
-def _polymod(c, modulus, p):
-    """Remainder of c by the monic polynomial `modulus`, coefficients mod p."""
-    c = [x % p for x in c]
+def polymul_mod(modulus, mod, a, b):
+    """a*b in (Z/mod)[t]/(modulus) for length-h ascending coefficient vectors.
+
+    The one multiply-and-reduce routine: F_q is the case mod = p and
+    GR(p^M, h) the case mod = p^M.  `modulus` is monic of degree h; the
+    result is a tuple of h residues in [0, mod).
+    """
     h = len(modulus) - 1
-    for d in range(len(c) - 1, h - 1, -1):
-        lead = c[d]
-        if lead:
-            for i in range(h + 1):
-                c[d - h + i] = (c[d - h + i] - lead * modulus[i]) % p
-    del c[h:]
-    while len(c) < h:
-        c.append(0)
-    return c
-
-
-def _polymul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
+    if h == 1:
+        return (a[0] * b[0] % mod,)
+    prod_ = [0] * (2 * h - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+                prod_[i + j] += ai * bj
+    for d in range(2 * h - 2, h - 1, -1):
+        lead = prod_[d] % mod
+        if lead:
+            for i in range(h):
+                prod_[d - h + i] -= lead * modulus[i]
+    return tuple([c % mod for c in prod_[:h]])
 
 
 def _divides(divisor, poly, p):
@@ -102,6 +121,8 @@ class FieldParams:
 
 
 def field_params(p: int, h: int = 1, modulus=None) -> FieldParams:
+    if p >= _MR_LIMIT:
+        raise ValidationError(f"p={p} is beyond the proven range of the primality test")
     if not _is_prime(p):
         raise ValidationError(f"p={p} is not prime")
     if h < 1:
@@ -127,7 +148,7 @@ class FqElem:
     coeffs: tuple  # length h, entries in [0, p-1]
 
     def _check(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ConfigError("field mismatch")
 
     def __add__(self, other):
@@ -146,9 +167,8 @@ class FqElem:
 
     def __mul__(self, other):
         self._check(other)
-        p = self.params.p
-        prod_ = _polymul(self.coeffs, other.coeffs, p)
-        return FqElem(self.params, tuple(_polymod(prod_, self.params.modulus, p)))
+        params = self.params
+        return FqElem(params, polymul_mod(params.modulus, params.p, self.coeffs, other.coeffs))
 
     def __pow__(self, e: int):
         if e < 0:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ValidationError
-from .fqfield import FieldParams, FqElem
+from .fqfield import FieldParams, FqElem, polymul_mod
 from .witt import witt_op_polys, witt_var
 from .poly import FieldDomain
 
@@ -47,7 +47,7 @@ class GRElem:
     coeffs: tuple  # length h, entries in [0, p^M - 1]
 
     def _check(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ConfigError("Galois ring mismatch")
 
     def __add__(self, other):
@@ -66,20 +66,9 @@ class GRElem:
 
     def __mul__(self, other):
         self._check(other)
-        h = self.params.h
-        mod = self.params.char
-        phi = self.params.field.modulus
-        prod_ = [0] * (2 * h - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod_[i + j] = (prod_[i + j] + a * b) % mod
-        for d in range(2 * h - 2, h - 1, -1):
-            lead = prod_[d]
-            if lead:
-                for i in range(h + 1):
-                    prod_[d - h + i] = (prod_[d - h + i] - lead * phi[i]) % mod
-        return GRElem(self.params, tuple(prod_[:h]))
+        params = self.params
+        return GRElem(params, polymul_mod(params.field.modulus, params.char,
+                                          self.coeffs, other.coeffs))
 
     def __pow__(self, e: int):
         if e < 0:

@@ -190,6 +190,8 @@ def _section_keys(lines, allowed, section):
         key, value = m.group(1), m.group(2).strip()
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} in [{section}]", lineno)
+        if key in out:
+            raise ParseError(f"duplicate key {key!r} in [{section}]", lineno)
         out[key] = (lineno, value)
     return out
 
@@ -233,10 +235,15 @@ def parse_instance(text: str) -> ProblemInstance:
 
     sys_names = system_variable_names(n)
     system = []
+    labels = set()
     for lineno, line in sections["system"]:
         sm = _SYSTEM_RE.match(line)
         if not sm:
             raise ParseError("expected `f<k> = <expr> mod p^<mk>`", lineno)
+        k = int(sm.group(1))
+        if k in labels:
+            raise ParseError(f"duplicate polynomial f{k}", lineno)
+        labels.add(k)
         f = parse_poly(sm.group(2), ZZ, sys_names, line=lineno)
         system.append((f, int(sm.group(3))))
     if not system:

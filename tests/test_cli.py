@@ -107,3 +107,44 @@ def test_verify_fail_exit_code(capsys, tmp_path):
     code, out = run(capsys, "verify", str(path))
     assert code == EXIT_OK
     assert out.rstrip().endswith("status=PASS")
+
+
+def test_paper_examples_checks_ord_p(capsys, monkeypatch):
+    import wittbox.cli as cli
+
+    name, text, cardinality, ord_p, close = cli.PAPER_EXAMPLES[1]
+    monkeypatch.setattr(cli, "PAPER_EXAMPLES", ((name, text, cardinality, ord_p + 1, close),))
+    code, out = run(capsys, "paper-examples")
+    assert code == EXIT_ASSERTION
+    assert out.endswith(f"{name}.ord_p={ord_p}\n{name}.closeness=true\n{name}.status=FAIL\n")
+
+
+def test_duplicate_key_exit_code(capsys, tmp_path):
+    path = tmp_path / "dup.ini"
+    path.write_text(EXAMPLE_41.replace("h = 1", "h = 1\nh = 3"))
+    code, out = run(capsys, "count", str(path))
+    assert code == EXIT_VALIDATION
+    assert "error.kind=parse\n" in out
+
+
+def test_large_prime_returns_promptly(tmp_path):
+    # trial division on 2^61 - 1 never finished; Miller-Rabin answers at once
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    path = tmp_path / "big.ini"
+    path.write_text(f"[ring]\np = {2 ** 61 - 1}\n[problem]\nn = 2\nm = 1\n"
+                    "[system]\nf1 = x1 + x2 mod p^2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    codes = {}
+    for command in ("bound", "count", "verify"):
+        proc = subprocess.run([sys.executable, "-m", "wittbox.cli", command, str(path)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        codes[command] = proc.returncode
+    assert codes == {"bound": EXIT_OK, "count": EXIT_BUDGET, "verify": EXIT_BUDGET}
+    path.write_text(path.read_text().replace(str(2 ** 61 - 1), str(2 ** 89 - 1)))
+    assert main(["bound", str(path)]) == EXIT_VALIDATION

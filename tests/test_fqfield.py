@@ -98,3 +98,17 @@ def test_literal_rendering():
     assert fq(F4, [1, 1]).render() == "1+t"
     assert fq(F9, [0, 2]).render() == "2*t"
     assert fq_zero(F4).render() == "0"
+
+
+def test_primality_is_miller_rabin():
+    from wittbox.fqfield import _MR_LIMIT, _is_prime
+
+    trial = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(2000) if _is_prime(n)] == trial
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
+    # Carmichael numbers and strong pseudoprimes to the first 9 prime bases
+    for composite in (561, 2047, 3215031751, 3825123056546413051, (2 ** 61 - 1) * 3):
+        assert not _is_prime(composite)
+    with pytest.raises(ValidationError):
+        field_params(2 ** 89 - 1)  # prime, but past the proven range
+    assert _MR_LIMIT < 2 ** 89 - 1

@@ -120,3 +120,17 @@ def test_generator_validation_through_parser():
     text = MINIMAL + "\n[box]\ng[0][1] = x[0][2]\n"
     with pytest.raises(ValidationError):
         parse_instance(text)
+
+
+def test_duplicate_keys_and_labels():
+    # a repeated key is an error, not last-wins (h = 3 would count over F_8)
+    with pytest.raises(ParseError) as err:
+        parse_instance(MINIMAL.replace("p = 2", "p = 2\nh = 1\nh = 3"))
+    assert "duplicate key 'h' in [ring]" in str(err.value) and err.value.line == 4
+    with pytest.raises(ParseError):
+        parse_instance(MINIMAL.replace("m = 1", "m = 1\nn = 3"))
+    # a repeated f<k> label is an error, not a second polynomial
+    with pytest.raises(ParseError) as err:
+        parse_instance(MINIMAL + "f1 = x1 mod p^1\n")
+    assert "duplicate polynomial f1" in str(err.value)
+    assert len(parse_instance(MINIMAL + "f2 = x1 mod p^1\n").system) == 2
