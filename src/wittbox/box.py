@@ -10,9 +10,10 @@ zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BudgetError, ValidationError
-from .fqfield import FieldParams, fq_from_index
+from .fqfield import FieldParams, FqElem, fq_from_index, polymul_mod
 from .poly import FieldDomain, MultiPoly
 
 
@@ -162,9 +163,14 @@ def box_from_table(field: FieldParams, n: int, m: int, precision: int, table,
     """Recover the unique reduced generators from a full enumeration table.
 
     `table` is an iterable of (base, digits) pairs shaped like BoxPoint
-    contents, one per element of F_q^{nm}.  Interpolation expands the
-    indicator formula sum_a v_a * prod_k (1 - (x_k - a_k)^(q-1)) symbolically
-    and reduces, per-row indicators being shared across all (i, j).
+    contents, one per element of F_q^{nm}.  The values of each generator form
+    an array over F_q^{nm}, which a separable transform turns into the
+    coefficients of its reduced interpolant, one variable axis at a time:
+    along an axis with values v(a), a in F_q, the interpolant
+    sum_a v(a) * (1 - (x - a)^(q-1)) has c_0 = v(0) and
+    c_k = -sum_a v(a) * a^(q-1-k) for 1 <= k <= q-1, with 0^0 = 1.  For
+    q = 2 this is the binary Moebius transform.  The cost is O(nm q^{nm+1})
+    field operations in O(q^{nm}) memory plus O(q) scratch.
     """
     q = field.q
     nm = n * m
@@ -190,28 +196,72 @@ def box_from_table(field: FieldParams, n: int, m: int, precision: int, table,
             for i in range(m):
                 if digits[j - 1][i] != base[i * n + (j - 1)]:
                     raise ValidationError("table digits below m disagree with the base point")
-        rows.append((base, digits))
+        index = 0  # the big-endian base-q index of decode_base
+        for code in key:
+            index = index * q + code
+        rows.append((index, digits))
     if len(rows) != expected:
         raise ValidationError(f"table must have exactly {expected} rows, got {len(rows)}")
-
-    one = MultiPoly.constant(dom, names, 1)
-    indicators = []
-    for base, _ in rows:
-        ind = one
-        for name, a in zip(names, base):
-            x = MultiPoly.variable(dom, names, name)
-            ind = ind * (one - (x - MultiPoly.constant(dom, names, a)) ** (q - 1))
-        indicators.append(ind.reduce_exponents())
 
     generators = {}
     for i in range(m, precision):
         for j in range(1, n + 1):
-            g = MultiPoly.zero(dom, names)
-            for (base, digits), ind in zip(rows, indicators):
-                v = digits[j - 1][i]
-                if not v.is_zero():
-                    g = g + ind * MultiPoly.constant(dom, names, v)
-            g = g.reduce_exponents()
-            if not g.is_zero():
-                generators[(i, j)] = g
+            values = [None] * expected
+            for index, digits in rows:
+                values[index] = dom.coerce(digits[j - 1][i]).coeffs
+            coords = _interpolate(field, [list(c) for c in zip(*values)], nm)
+            terms = {}
+            for index, coeffs in enumerate(zip(*coords)):
+                if any(coeffs):
+                    exps = []
+                    for _ in range(nm):
+                        index, e = divmod(index, q)
+                        exps.append(e)
+                    terms[tuple(reversed(exps))] = FqElem(field, coeffs)
+            generators[(i, j)] = MultiPoly(dom, names, terms)
     return box_make(field, n, m, generators)
+
+
+def _interpolate(field: FieldParams, coords, nm: int):
+    """Reduced-interpolant coefficients from values on F_q^{nm}.
+
+    `coords` holds the h coordinate arrays over F_p of the values, indexed
+    big-endian by the nm variable digits; the result is indexed the same way
+    by exponent digits.  Each pass transforms the last axis and moves it to
+    the front, so after nm passes every axis is done and back in place.
+    Multiplying by a fixed w in F_q is an F_p-linear map on the coordinates,
+    so every pass is F_p-linear combinations of whole slices.
+    """
+    p, q, h, modulus = field.p, field.q, field.h, field.modulus
+    elements = [fq_from_index(field, a).coeffs for a in range(q)]
+    basis = [tuple(int(r == s) for r in range(h)) for s in range(h)]
+
+    def negated_sum(weights, planes):
+        """-sum_a weights[a] * planes[a], one list per coordinate.
+
+        weights[1] = 1 puts a term in every coordinate.
+        """
+        pairs = [[] for _ in range(h)]
+        for w, plane in zip(weights, planes):
+            if any(w):
+                for s in range(h):
+                    column = polymul_mod(modulus, p, w, basis[s])  # w * t^s
+                    for r in range(h):
+                        c = -column[r] % p
+                        if c:
+                            pairs[r].append((c, plane[s]))
+        out = []
+        for r_pairs in pairs:
+            cs = [c for c, _ in r_pairs]
+            out.append([sum(map(mul, cs, col)) % p for col in zip(*[v for _, v in r_pairs])])
+        return out
+
+    for _ in range(nm):
+        planes = [[coord[a::q] for coord in coords] for a in range(q)]
+        blocks = [planes[0]] + [None] * (q - 1)  # c_0 = v(0)
+        powers = [basis[0]] * q  # a^(q-1-k), from k = q-1 down to k = 1
+        for k in range(q - 1, 0, -1):
+            blocks[k] = negated_sum(powers, planes)
+            powers = [polymul_mod(modulus, p, w, a) for w, a in zip(powers, elements)]
+        coords = [[x for block in blocks for x in block[r]] for r in range(h)]
+    return coords

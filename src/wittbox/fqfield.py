@@ -1,14 +1,13 @@
 """Arithmetic in the finite field F_q with q = p^h, realized as F_p[t]/(phi).
 
 Elements are coefficient tuples of length h (ascending powers of t).  The
-modulus is validated for irreducibility at construction time by trial
-division; a silently reducible modulus would corrupt every downstream count.
+modulus is validated for irreducibility at construction time by Rabin's
+test; a silently reducible modulus would corrupt every downstream count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ConfigError, DomainError, ValidationError
 
@@ -83,30 +82,51 @@ def polymul_mod(modulus, mod, a, b):
     return tuple([c % mod for c in prod_[:h]])
 
 
-def _divides(divisor, poly, p):
-    """Whether the monic `divisor` divides `poly` over F_p."""
-    rem = [x % p for x in poly]
-    ddeg = _polydeg(divisor)
-    inv_lead = pow(divisor[ddeg], p - 2, p)
-    while _polydeg(rem) >= ddeg:
+def _polyrem(a, b, p):
+    """a mod b over F_p, for b with a nonzero leading coefficient."""
+    rem = [x % p for x in a]
+    bdeg = _polydeg(b)
+    inv_lead = pow(b[bdeg], p - 2, p)
+    while _polydeg(rem) >= bdeg:
         d = _polydeg(rem)
         factor = (rem[d] * inv_lead) % p
-        for i in range(ddeg + 1):
-            rem[d - ddeg + i] = (rem[d - ddeg + i] - factor * divisor[i]) % p
-    return _polydeg(rem) < 0
+        for i in range(bdeg + 1):
+            rem[d - bdeg + i] = (rem[d - bdeg + i] - factor * b[i]) % p
+    return rem
+
+
+def _coprime(a, b, p):
+    """Whether gcd(a, b) = 1 over F_p (Euclid's algorithm)."""
+    while _polydeg(b) >= 0:
+        a, b = b, _polyrem(a, b, p)
+    return _polydeg(a) == 0
+
+
+def _prime_factors(n: int):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
 
 
 def _is_irreducible(modulus, p):
+    """Rabin's test for a `modulus` of degree h over F_p.
+
+    It is irreducible iff t^(p^h) = t mod modulus and, for every prime
+    r | h, gcd(t^(p^(h/r)) - t, modulus) = 1.  The Frobenius powers of t
+    are taken by square-and-multiply in F_p[t]/(modulus), so the cost is
+    polynomial in h and log p.
+    """
     h = _polydeg(modulus)
     if h < 1:
         return False
-    # Trial division by every monic polynomial of degree 1..h//2.
-    for d in range(1, h // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if _divides(divisor, modulus, p):
-                return False
-    return True
+    inv_lead = pow(modulus[h], p - 2, p)
+    modulus = tuple(c * inv_lead % p for c in modulus[:h + 1])
+    # FqElem arithmetic needs only a ring, which F_p[t]/(modulus) always is.
+    t = FqElem(FieldParams(p, h, modulus), tuple(_polyrem([0, 1] + [0] * h, modulus, p)[:h]))
+    frobenius = [t]  # frobenius[k] = t^(p^k)
+    for _ in range(h):
+        frobenius.append(frobenius[-1] ** p)
+    if frobenius[h] != t:
+        return False
+    return all(_coprime(modulus, (frobenius[h // r] - t).coeffs, p) for r in _prime_factors(h))
 
 
 @dataclass(frozen=True)

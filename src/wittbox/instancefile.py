@@ -24,13 +24,21 @@ generators use variables x[i][j] and may use `t` for F_q coefficients.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .box import box_make, box_variable_names, teichmuller_box
 from .counting import ProblemInstance, make_instance, system_variable_names
-from .errors import ParseError
+from .errors import BudgetError, ParseError
 from .fqfield import field_params, fq
 from .poly import FieldDomain, MultiPoly, ZZ
+
+# A `^` whose expansion could exceed this many terms is refused before it is
+# expanded, so a short line cannot make parsing run for minutes.  Squaring
+# costs the square of the term count and integer coefficients grow with the
+# exponent: on a 2-vCPU VM, (7*x1 + 5)^1023 (1024 terms) expands in about
+# 2 s and (x1 + 1)^4095 (4096 terms) in about 27 s.
+MAX_POWER_TERMS = 1 << 10
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
@@ -117,7 +125,12 @@ class _ExprParser:
             ekind, eval_ = self._next()
             if ekind != "int":
                 self._fail("exponent must be an integer literal")
-            poly = poly ** int(eval_)
+            e = int(eval_)
+            if _power_terms_bound(poly, e) > MAX_POWER_TERMS:
+                where = "" if self.line is None else f"line {self.line}: "
+                raise BudgetError(f"{where}expanding `^{e}` could produce more than "
+                                  f"{MAX_POWER_TERMS} terms")
+            poly = poly ** e
         return poly
 
     def _atom(self):
@@ -141,6 +154,23 @@ class _ExprParser:
                 self._fail("unbalanced parenthesis")
             return poly
         self._fail("malformed expression" if val is None else f"unexpected token {val!r}")
+
+
+def _power_terms_bound(poly, e: int) -> int:
+    """An upper bound on the number of terms of poly^e, exact up to MAX_POWER_TERMS.
+
+    poly^e has at most C(v + d*e, v) monomials of degree <= d*e in its v
+    variables, and at most C(t + e - 1, e) products of e of its t terms.
+    """
+    v = sum(1 for column in zip(*poly.terms) if any(column))
+    d, t = poly.total_degree(), max(len(poly.terms), 1)
+    return min(_binomial(v + d * e, v), _binomial(t + e - 1, e))
+
+
+def _binomial(n: int, k: int) -> int:
+    """C(n, k); past MAX_POWER_TERMS.bit_length(), C(n, k) >= 2^k exceeds the cap."""
+    k = min(k, n - k)
+    return math.comb(n, k) if k <= MAX_POWER_TERMS.bit_length() else MAX_POWER_TERMS + 1
 
 
 def parse_poly(text, domain, variables, line=None, fq_params=None) -> MultiPoly:

@@ -8,14 +8,29 @@ golden tests depend on that exact rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
+from operator import lshift
 
 from .errors import ConfigError, ExactDivisionError, ValidationError
 from .fqfield import FieldParams, FqElem, fq, fq_one, fq_zero
 
 
-@dataclass(frozen=True)
+# The coefficient domains are plain immutable-by-convention classes: a
+# dataclass would generate and compile its methods at every import.
+
+
 class IntegerDomain:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is IntegerDomain
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "IntegerDomain()"
+
     def coerce(self, v):
         if isinstance(v, int):
             return v
@@ -31,9 +46,20 @@ class IntegerDomain:
         return str(c)
 
 
-@dataclass(frozen=True)
 class ModularDomain:
-    modulus: int
+    __slots__ = ("modulus",)
+
+    def __init__(self, modulus: int):
+        self.modulus = modulus
+
+    def __eq__(self, other):
+        return type(other) is ModularDomain and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash((self.modulus,))
+
+    def __repr__(self):
+        return f"ModularDomain(modulus={self.modulus!r})"
 
     def coerce(self, v):
         if isinstance(v, int):
@@ -55,13 +81,25 @@ class ModularDomain:
         return str(c % self.modulus)
 
 
-@dataclass(frozen=True)
 class FieldDomain:
-    params: FieldParams
+    __slots__ = ("params",)
+
+    def __init__(self, params: FieldParams):
+        self.params = params
+
+    def __eq__(self, other):
+        return type(other) is FieldDomain and (
+            other.params is self.params or other.params == self.params)
+
+    def __hash__(self):
+        return hash((self.params,))
+
+    def __repr__(self):
+        return f"FieldDomain(params={self.params!r})"
 
     def coerce(self, v):
         if isinstance(v, FqElem):
-            if v.params != self.params:
+            if v.params is not self.params and v.params != self.params:
                 raise ConfigError("F_q element from a different field")
             return v
         if isinstance(v, int):
@@ -117,7 +155,7 @@ class MultiPoly:
         variables = tuple(variables)
         if name not in variables:
             raise ConfigError(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in variables)
+        exps = tuple([1 if v == name else 0 for v in variables])
         return cls(domain, variables, {exps: domain.one})
 
     # -- predicates ---------------------------------------------------------
@@ -185,38 +223,36 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.domain, self.variables, other)
         self._check(other)
-        dom = self.domain
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod_ = c1 * c2
-                if key in acc:
-                    acc[key] = acc[key] + prod_
-                else:
-                    acc[key] = prod_
-        terms = {}
-        for e, c in acc.items():
-            c = dom.coerce(c) if isinstance(c, int) else c
-            if not dom.is_zero(c):
-                terms[e] = c
-        out = MultiPoly.__new__(MultiPoly)
-        out.domain, out.variables, out.terms = self.domain, self.variables, terms
-        return out
+        slots = _slots(len(self.variables), _top(self.terms) + _top(other.terms))
+        product = _packed_mul(self.domain, _pack(self.terms, slots), _pack(other.terms, slots))
+        return self._unpacked(product, slots)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        """Square-and-multiply on packed exponents, unpacked once at the end."""
         if e < 0:
             raise ValidationError("negative polynomial power")
-        result = MultiPoly.constant(self.domain, self.variables, self.domain.one)
-        base = self
+        if e == 0:
+            return MultiPoly.constant(self.domain, self.variables, self.domain.one)
+        dom = self.domain
+        slots = _slots(len(self.variables), _top(self.terms) * e)
+        base = _pack(self.terms, slots)
+        result = None
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else _packed_mul(dom, result, base)
+            base = _packed_mul(dom, base, base) if e > 1 else base
             e >>= 1
-        return result
+        return self._unpacked(result, slots)
+
+    def _unpacked(self, packed, slots):
+        """A polynomial in this context from packed (key, coefficient) pairs."""
+        shifts, mask = slots
+        out = MultiPoly.__new__(MultiPoly)
+        out.domain, out.variables = self.domain, self.variables
+        out.terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed}
+        return out
 
     def exact_div_int(self, c: int):
         """Divide every coefficient by c; every coefficient must be divisible."""
@@ -347,3 +383,46 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
+
+
+# -- packed exponents ---------------------------------------------------------
+#
+# Multiplication packs each exponent tuple into one int, one fixed-width slot
+# per variable with the first variable in the highest slot (Monagan & Pearce,
+# CASC 2007).  The width holds the largest exponent the product can reach, so
+# adding two keys adds the exponent vectors without a carry between slots.
+
+
+def _top(terms) -> int:
+    """The largest exponent of any variable in any term."""
+    return max(chain.from_iterable(terms), default=0)
+
+
+def _slots(arity: int, top: int):
+    """Bit offset of each variable's slot, and the slot mask, for exponents <= `top`."""
+    width = max(top.bit_length(), 1)
+    return range(width * (arity - 1), -1, -width), (1 << width) - 1
+
+
+def _pack(terms, slots):
+    """[(packed key, coefficient)] for a tuple-keyed term dict."""
+    shifts = slots[0]
+    return [(sum(map(lshift, exps, shifts)), c) for exps, c in terms.items()]
+
+
+def _packed_mul(dom, a, b):
+    """Product of two packed term lists, zero coefficients dropped."""
+    acc = {}
+    for k1, c1 in a:
+        for k2, c2 in b:
+            k = k1 + k2
+            if k in acc:
+                acc[k] = acc[k] + c1 * c2
+            else:
+                acc[k] = c1 * c2
+    out = []
+    for k, c in acc.items():
+        c = dom.coerce(c) if isinstance(c, int) else c
+        if not dom.is_zero(c):
+            out.append((k, c))
+    return out

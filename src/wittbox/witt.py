@@ -65,15 +65,7 @@ def witt_op_polys(p: int, n: int, r: int, kind: str):
     names = witt_variable_names(n, r)
     polys = []
     for k in range(n + 1):
-        ghosts = [_ghost_at(p, k, j, n, r, names) for j in range(1, r + 1)]
-        if kind == SUM:
-            g = MultiPoly.zero(ZZ, names)
-            for gh in ghosts:
-                g = g + gh
-        else:
-            g = MultiPoly.constant(ZZ, names, 1)
-            for gh in ghosts:
-                g = g * gh
+        g = _ghost_combination(p, k, n, r, kind, names)
         for i in range(k):
             g = g - polys[i] ** (p ** (k - i)) * (p ** i)
         polys.append(g.exact_div_int(p ** k))
@@ -86,6 +78,20 @@ def _ghost_at(p, k, j, n, r, names):
         v = MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
         poly = poly + v ** (p ** (k - i)) * (p ** i)
     return poly
+
+
+def _ghost_combination(p, k, n, r, kind, names):
+    """G_k: the sum (resp. product) of the k-th ghost components of the r arguments."""
+    ghosts = [_ghost_at(p, k, j, n, r, names) for j in range(1, r + 1)]
+    if kind == SUM:
+        g = MultiPoly.zero(ZZ, names)
+        for gh in ghosts:
+            g = g + gh
+    else:
+        g = MultiPoly.constant(ZZ, names, 1)
+        for gh in ghosts:
+            g = g * gh
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -107,16 +113,7 @@ def ghost_identity_holds(p: int, n: int, r: int, kind: str, polys) -> bool:
         lhs = MultiPoly.zero(ZZ, names)
         for i in range(k + 1):
             lhs = lhs + polys[i] ** (p ** (k - i)) * (p ** i)
-        ghosts = [_ghost_at(p, k, j, n, r, names) for j in range(1, r + 1)]
-        if kind == SUM:
-            rhs = MultiPoly.zero(ZZ, names)
-            for gh in ghosts:
-                rhs = rhs + gh
-        else:
-            rhs = MultiPoly.constant(ZZ, names, 1)
-            for gh in ghosts:
-                rhs = rhs * gh
-        if lhs != rhs:
+        if lhs != _ghost_combination(p, k, n, r, kind, names):
             return False
     return True
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from wittbox.errors import BudgetError, ValidationError
-from wittbox.fqfield import field_params, fq
+from wittbox.fqfield import field_params, fq, fq_from_index
 from wittbox.poly import FieldDomain, MultiPoly
 from wittbox.box import (
     box_enumerate,
@@ -159,3 +161,42 @@ def test_box_from_table_validation():
         box_from_table(F2, 1, 1, 2, bad)  # digits below m disagree with base
     with pytest.raises(BudgetError):
         box_from_table(F2, 30, 1, 2, [], budget=1 << 10)
+
+
+# (p, h, n, m, precision): q in {2, 3, 4, 5, 7, 9}, at most 125 table rows.
+ROUNDTRIP_SHAPES = [
+    (2, 1, 3, 2, 4), (2, 1, 1, 1, 3), (3, 1, 2, 1, 3), (3, 1, 1, 3, 4),
+    (2, 2, 1, 2, 4), (2, 2, 2, 1, 3), (5, 1, 1, 2, 3), (5, 1, 3, 1, 2),
+    (7, 1, 2, 1, 3), (3, 2, 1, 2, 3), (3, 2, 2, 1, 2),
+]
+
+
+def _random_generator(rng, field, names, kind):
+    """A reduced polynomial over F_q: zero, or random terms plus the forced ones."""
+    q, dom = field.q, FieldDomain(field)
+    if kind == "zero":
+        return MultiPoly.zero(dom, names)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randrange(q) for _ in names)
+        terms[exps] = fq_from_index(field, rng.randrange(1, q))
+    if kind == "edges":  # a constant term and an x^(q-1) term
+        terms[(0,) * len(names)] = fq_from_index(field, rng.randrange(1, q))
+        top = rng.randrange(len(names))
+        terms[tuple(q - 1 if k == top else 0 for k in range(len(names)))] = fq(field, 1)
+    return MultiPoly(dom, names, terms)
+
+
+@pytest.mark.parametrize("p,h,n,m,precision", ROUNDTRIP_SHAPES)
+def test_box_from_table_random_roundtrip(p, h, n, m, precision):
+    field = field_params(p, h)
+    names = box_variable_names(n, m)
+    rng = random.Random(f"{p}:{h}:{n}:{m}:{precision}")
+    slots = [(i, j) for i in range(m, precision) for j in range(1, n + 1)]
+    kinds = ["edges", "zero"] + [rng.choice(("edges", "zero", "random")) for _ in slots[2:]]
+    spec = box_make(field, n, m, {
+        ij: _random_generator(rng, field, names, kind) for ij, kind in zip(slots, kinds)
+    })
+    table = [(pt.base, pt.digits) for pt in box_enumerate(spec, precision)]
+    rng.shuffle(table)  # row order is not part of the contract
+    assert box_from_table(field, n, m, precision, table).generators == spec.generators

@@ -148,3 +148,49 @@ def test_large_prime_returns_promptly(tmp_path):
     assert codes == {"bound": EXIT_OK, "count": EXIT_BUDGET, "verify": EXIT_BUDGET}
     path.write_text(path.read_text().replace(str(2 ** 61 - 1), str(2 ** 89 - 1)))
     assert main(["bound", str(path)]) == EXIT_VALIDATION
+
+
+def test_large_extension_modulus_is_checked_promptly(tmp_path):
+    # trial division over F_1000003 took seconds; Rabin's test is polynomial in log p
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    codes = {}
+    for modulus in ("t^2 + 1", "t^2 + 1000002"):  # irreducible (p = 3 mod 4); (t-1)(t+1)
+        path = tmp_path / "ext.ini"
+        path.write_text(f"[ring]\np = 1000003\nh = 2\nmodulus = {modulus}\n"
+                        "[problem]\nn = 1\nm = 1\n[system]\nf1 = x1 mod p^2\n")
+        proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "bound", str(path)],
+                              env=env, capture_output=True, text=True, timeout=10)
+        codes[modulus] = proc.returncode
+    assert codes == {"t^2 + 1": EXIT_OK, "t^2 + 1000002": EXIT_VALIDATION}
+
+
+def test_huge_power_is_refused_before_expansion(tmp_path, capsys):
+    # (x1 + x2 + 1)^3000 has about 4.5 M terms and used to be expanded in
+    # full; a subprocess with a timeout keeps a regression from hanging here
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    path = tmp_path / "power.ini"
+    path.write_text("[ring]\np = 2\n[problem]\nn = 2\nm = 1\n[system]\n"
+                    "f1 = (x1 + x2 + 1)^3000 mod p^1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    assert "error.kind=budget\n" in proc.stdout
+    assert "error.message=line 7: " in proc.stdout
+    # a large exponent on one term stays cheap and is accepted
+    path.write_text(path.read_text().replace("(x1 + x2 + 1)^3000", f"x1^{2 ** 40} + x2"))
+    code, out = run(capsys, "count", str(path))
+    assert code == EXIT_OK

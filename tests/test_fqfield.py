@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from wittbox.errors import DomainError, ValidationError
@@ -112,3 +114,31 @@ def test_primality_is_miller_rabin():
     with pytest.raises(ValidationError):
         field_params(2 ** 89 - 1)  # prime, but past the proven range
     assert _MR_LIMIT < 2 ** 89 - 1
+
+
+def _irreducible_by_trial_division(modulus, p):
+    """Reference: no monic factor of degree 1..h//2 divides `modulus` over F_p."""
+    h = len(modulus) - 1
+    for d in range(1, h // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            rem = list(modulus)
+            for top in range(h, d - 1, -1):
+                c = rem[top] % p
+                for i, b in enumerate(tail + (1,)):
+                    rem[top - d + i] -= c * b
+            if all(r % p == 0 for r in rem):
+                return False
+    return True
+
+
+# h = 5 needs the t^(p^h) = t condition (a quadratic times a cubic has no
+# linear factor); h = 6 needs both prime divisors (over F_3, the product of
+# the three monic irreducible quadratics).
+@pytest.mark.parametrize("p,max_h", [(2, 6), (3, 6), (5, 4)])
+def test_rabin_agrees_with_trial_division(p, max_h):
+    from wittbox.fqfield import _is_irreducible
+
+    for h in range(1, max_h + 1):
+        for tail in product(range(p), repeat=h):
+            modulus = tail + (1,)
+            assert _is_irreducible(modulus, p) == _irreducible_by_trial_division(modulus, p), modulus

@@ -134,3 +134,21 @@ def test_duplicate_keys_and_labels():
         parse_instance(MINIMAL + "f1 = x1 mod p^1\n")
     assert "duplicate polynomial f1" in str(err.value)
     assert len(parse_instance(MINIMAL + "f2 = x1 mod p^1\n").system) == 2
+
+
+
+def test_power_term_bound_is_an_upper_bound_and_refuses_early():
+    from wittbox.errors import BudgetError
+    from wittbox.instancefile import MAX_POWER_TERMS, _power_terms_bound
+
+    names = ("x1", "x2", "x3")
+    for text, e in (("x1 + x2 + 1", 7), ("x1*x2 + x3^2", 5), ("x1 - x1", 3),
+                    ("2", 0), ("x1^3 + x2", 9), ("x1 + x2 + x3 + 1", 6)):
+        f = parse_poly(text, ZZ, names)
+        assert len((f ** e).terms) <= _power_terms_bound(f, e)
+    assert _power_terms_bound(parse_poly("x1", ZZ, names), 2 ** 40) == 1
+    # the degree bound C(36, 2) = 630 admits what the term bound C(20, 3) = 1140 would not
+    assert len(parse_poly("(x1 + x2 + x1*x2 + 1)^17", ZZ, names).terms) == 18 * 18
+    with pytest.raises(BudgetError, match="line 9: "):
+        parse_poly("(x1 + x2 + 1)^44", ZZ, names, line=9)  # C(46, 2) = 1035 terms
+    assert len(parse_poly("(x1 + x2 + 1)^43", ZZ, names).terms) == 990 <= MAX_POWER_TERMS

@@ -2,7 +2,7 @@ import pytest
 
 from wittbox.errors import ConfigError, ExactDivisionError, ValidationError
 from wittbox.fqfield import field_params, fq
-from wittbox.poly import FieldDomain, ModularDomain, MultiPoly, ZZ
+from wittbox.poly import FieldDomain, IntegerDomain, ModularDomain, MultiPoly, ZZ
 
 NAMES = ("x", "y")
 
@@ -130,3 +130,18 @@ def test_render_field_coefficients():
     assert f.render() == "t*u + 1+t"
     g = (t + MultiPoly.constant(dom, names, fq(f4, 1))) * u
     assert g.render() == "(1+t)*u"
+
+
+def test_domains_compare_by_value():
+    f2, f4 = field_params(2), field_params(2, 2)
+    assert ZZ == IntegerDomain() and hash(ZZ) == hash(IntegerDomain())
+    assert ModularDomain(8) == ModularDomain(8) != ModularDomain(4)
+    assert FieldDomain(f4) == FieldDomain(field_params(2, 2)) != FieldDomain(f2)
+    assert hash(FieldDomain(f4)) == hash(FieldDomain(field_params(2, 2)))
+    assert ZZ != ModularDomain(8) and ModularDomain(2) != FieldDomain(f2)
+    assert repr(ModularDomain(8)) == "ModularDomain(modulus=8)"
+    assert repr(FieldDomain(f2)) == f"FieldDomain(params={f2!r})"
+    with pytest.raises(ConfigError):
+        MultiPoly.variable(FieldDomain(f4), ("x",), "x") * MultiPoly.variable(FieldDomain(f2), ("x",), "x")
+    with pytest.raises(ConfigError):
+        FieldDomain(f2).coerce(fq(f4, 1))
