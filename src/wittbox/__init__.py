@@ -6,9 +6,7 @@ from .bounds import (
     ax_katz_bound,
     bound_report,
     ceil_star,
-    cwg_bound,
     general_bound,
-    improved_bound,
     kmr_bound,
     minimal_d,
     stacked_bound,
@@ -33,10 +31,8 @@ from .errors import (
     ValidationError,
     WittboxError,
 )
-from .fqfield import FieldParams, FqElem, field_params, fq, fq_enumerate
+from .fqfield import FieldParams, GRElem, GRParams, field_params, fq, fq_enumerate
 from .galois import (
-    GRElem,
-    GRParams,
     from_digits,
     int_to_gr,
     ord_p,
@@ -45,7 +41,7 @@ from .galois import (
     witt_digit_op,
 )
 from .instancefile import parse_instance, parse_poly
-from .poly import FieldDomain, IntegerDomain, ModularDomain, MultiPoly, ZZ
+from .poly import FieldDomain, IntegerDomain, MultiPoly, ZZ
 from .witt import (
     PRODUCT,
     SUM,

@@ -56,10 +56,6 @@ def kmr_bound(n: int, s: int, m: int, degs, reading: str = DEFAULT_READING) -> i
     return ceil_star((n - s) * m)
 
 
-def cwg_bound(n: int, p: int, moduli, degs) -> int:
-    return general_bound(n, 1, p, moduli, degs)
-
-
 def general_bound(n: int, m: int, p: int, moduli, degs) -> int:
     if len(moduli) != len(degs):
         raise ValidationError("moduli and degrees must have the same length")
@@ -75,18 +71,8 @@ def stacked_bound(n: int, s: int, m: int, m1: int, degs,
     """Equal-moduli case values with the free-digit stacking term n(m - m1)."""
     if not (m >= m1 >= 1):
         raise ValidationError("need m >= m1 >= 1")
-    stack = n * (m - m1)
-    if m1 == 1:
-        return ax_katz_bound(n, degs) + stack
-    if n > s and _degree_case_holds(degs, reading):
-        return floor_int(Fraction((n - s + 1) * m1 - 1, 2)) + stack
-    return ceil_star((n - s) * m1) + stack
-
-
-def improved_bound(n: int, m: int, p: int, moduli, d_list) -> int:
-    if any(d < 1 for d in d_list):
-        raise ValidationError("d_k must be >= 1")
-    return general_bound(n, m, p, moduli, d_list)
+    base = ax_katz_bound(n, degs) if m1 == 1 else kmr_bound(n, s, m1, degs, reading)
+    return base + n * (m - m1)
 
 
 def _compositions(total: int, parts: int):
@@ -101,7 +87,7 @@ def _compositions(total: int, parts: int):
 
 
 def minimal_d(inst: ProblemInstance, k: int, budget: int = 1 << 20) -> int:
-    """Least d for which every surviving expansion term of f_k satisfies the
+    """Least d >= 1 for which every surviving expansion term of f_k satisfies the
     per-term degree condition deg(a * prod g) <= d * p^(h*floor((i+|beta|)/h)).
 
     Enumerates the coefficient digit index i and all slot vectors beta with
@@ -200,71 +186,38 @@ def bound_report(inst: ProblemInstance, count: CountReport | None = None,
         )
     )
 
-    entries = []
-
-    applicable = m == 1 and all(mk == 1 for mk in moduli)
-    entries.append(BoundEntry(
-        name="ax_katz",
-        applicable=applicable,
-        value=ax_katz_bound(n, degs) if applicable else None,
-        notes="needs m = 1 and all moduli 1",
-    ))
-
-    applicable = m >= 2 and all(mk == m for mk in moduli)
-    entries.append(BoundEntry(
-        name="kmr",
-        applicable=applicable,
-        value=kmr_bound(n, s, m, degs, reading) if applicable else None,
-        notes=f"needs m >= 2 and all moduli = m; degree case read as '{reading}'",
-    ))
-
-    applicable = m == 1 and close
-    entries.append(BoundEntry(
-        name="cwg",
-        applicable=applicable,
-        value=cwg_bound(n, p, moduli, degs) if applicable else None,
-        notes=f"needs m = 1 and closeness; {close_note}",
-    ))
-
-    entries.append(BoundEntry(
-        name="general",
-        applicable=close,
-        value=general_bound(n, m, p, moduli, degs) if close else None,
-        notes=close_note,
-    ))
-
-    equal_moduli = len(set(moduli)) == 1
     m1 = moduli[0]
-    applicable = equal_moduli and m >= m1 and close
-    notes = f"needs equal moduli <= m and closeness; {close_note}"
-    if applicable and s == 1 and n == 1 and m1 > 1 and degs[0] > 1:
+    stacked_ok = len(set(moduli)) == 1 and m >= m1 and close
+    stacked_note = f"needs equal moduli <= m and closeness; {close_note}"
+    if stacked_ok and s == 1 and n == 1 and m1 > 1 and degs[0] > 1:
         # The single-polynomial statement omits n > 1 in its second case; the
         # proof needs it, so the conservative case selection is used and the
         # alternative value is recorded here.
         alt = floor_int(Fraction(n * m1 - 1, 2)) + n * (m - m1)
-        notes += f"; alternative single-polynomial reading would give {alt}"
-    entries.append(BoundEntry(
-        name="stacked",
-        applicable=applicable,
-        value=stacked_bound(n, s, m, m1, degs, reading) if applicable else None,
-        notes=notes,
-    ))
+        stacked_note += f"; alternative single-polynomial reading would give {alt}"
 
     try:
         d_list = [minimal_d(inst, k, budget=d_budget) for k in range(s)]
-        entries.append(BoundEntry(
-            name="improved",
-            applicable=True,
-            value=improved_bound(n, m, p, moduli, d_list),
-            notes="per-term degree condition satisfied by construction; d=" +
-                  ",".join(str(d) for d in d_list),
-        ))
+        improved_note = ("per-term degree condition satisfied by construction; d=" +
+                         ",".join(str(d) for d in d_list))
     except BudgetError:
-        entries.append(BoundEntry(
-            name="improved",
-            applicable=False,
-            value=None,
-            notes="minimal-d enumeration budget exceeded",
-        ))
+        d_list = None
+        improved_note = "minimal-d enumeration budget exceeded"
 
+    # (name, applicable, value, notes); a value is computed only when applicable.
+    table = (
+        ("ax_katz", m == 1 and all(mk == 1 for mk in moduli),
+         lambda: ax_katz_bound(n, degs), "needs m = 1 and all moduli 1"),
+        ("kmr", m >= 2 and all(mk == m for mk in moduli),
+         lambda: kmr_bound(n, s, m, degs, reading),
+         f"needs m >= 2 and all moduli = m; degree case read as '{reading}'"),
+        ("cwg", m == 1 and close,
+         lambda: general_bound(n, 1, p, moduli, degs), f"needs m = 1 and closeness; {close_note}"),
+        ("general", close, lambda: general_bound(n, m, p, moduli, degs), close_note),
+        ("stacked", stacked_ok, lambda: stacked_bound(n, s, m, m1, degs, reading), stacked_note),
+        ("improved", d_list is not None,
+         lambda: general_bound(n, m, p, moduli, d_list), improved_note),
+    )
+    entries = [BoundEntry(name, applicable, value() if applicable else None, notes)
+               for name, applicable, value, notes in table]
     return BoundReport(entries=entries, count=count)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import BudgetError, ValidationError
-from .fqfield import FieldParams, FqElem, fq_from_index, polymul_mod
+from .fqfield import FieldParams, GRElem, fq_enumerate, from_index, polymul_mod
 from .poly import FieldDomain, MultiPoly
 
 
@@ -44,9 +44,6 @@ class BoxSpec:
         if g is None:
             return MultiPoly.zero(FieldDomain(self.field), self.variables)
         return g
-
-    def max_generator_index(self) -> int:
-        return max((i for i, _ in self.generators), default=self.m - 1)
 
 
 def box_make(field: FieldParams, n: int, m: int, generators=None, split=False) -> BoxSpec:
@@ -91,8 +88,8 @@ def split_box(field: FieldParams, n: int, m: int, generators) -> BoxSpec:
 
 @dataclass(frozen=True)
 class BoxPoint:
-    base: tuple  # nm FqElem values, i-major then j
-    digits: tuple  # n tuples of M' FqElem values each
+    base: tuple  # nm F_q elements, i-major then j
+    digits: tuple  # n tuples of M' F_q elements each
 
 
 def decode_base(spec: BoxSpec, index: int):
@@ -104,7 +101,7 @@ def decode_base(spec: BoxSpec, index: int):
         codes.append(index % q)
         index //= q
     codes.reverse()
-    return tuple(fq_from_index(spec.field, c) for c in codes)
+    return tuple(from_index(spec.field.ring, c) for c in codes)
 
 
 def expand_point(spec: BoxSpec, base, precision: int) -> BoxPoint:
@@ -217,7 +214,7 @@ def box_from_table(field: FieldParams, n: int, m: int, precision: int, table,
                     for _ in range(nm):
                         index, e = divmod(index, q)
                         exps.append(e)
-                    terms[tuple(reversed(exps))] = FqElem(field, coeffs)
+                    terms[tuple(reversed(exps))] = GRElem(field.ring, coeffs)
             generators[(i, j)] = MultiPoly(dom, names, terms)
     return box_make(field, n, m, generators)
 
@@ -233,7 +230,7 @@ def _interpolate(field: FieldParams, coords, nm: int):
     so every pass is F_p-linear combinations of whole slices.
     """
     p, q, h, modulus = field.p, field.q, field.h, field.modulus
-    elements = [fq_from_index(field, a).coeffs for a in range(q)]
+    elements = [a.coeffs for a in fq_enumerate(field)]
     basis = [tuple(int(r == s) for r in range(h)) for s in range(h)]
 
     def negated_sum(weights, planes):

@@ -1,4 +1,5 @@
-"""Arithmetic in the finite field F_q with q = p^h, realized as F_p[t]/(phi).
+"""The finite field F_q with q = p^h, realized as F_p[t]/(phi), and the ring
+elements of GR(p^M, h) = (Z/p^M)[t]/(phi), of which F_q is the case M = 1.
 
 Elements are coefficient tuples of length h (ascending powers of t).  The
 modulus is validated for irreducibility at construction time by Rabin's
@@ -8,6 +9,7 @@ test; a silently reducible modulus would corrupt every downstream count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError, DomainError, ValidationError
 
@@ -119,8 +121,8 @@ def _is_irreducible(modulus, p):
         return False
     inv_lead = pow(modulus[h], p - 2, p)
     modulus = tuple(c * inv_lead % p for c in modulus[:h + 1])
-    # FqElem arithmetic needs only a ring, which F_p[t]/(modulus) always is.
-    t = FqElem(FieldParams(p, h, modulus), tuple(_polyrem([0, 1] + [0] * h, modulus, p)[:h]))
+    # Element arithmetic needs only a ring, which F_p[t]/(modulus) always is.
+    t = GRElem(FieldParams(p, h, modulus).ring, tuple(_polyrem([0, 1] + [0] * h, modulus, p)[:h]))
     frobenius = [t]  # frobenius[k] = t^(p^k)
     for _ in range(h):
         frobenius.append(frobenius[-1] ** p)
@@ -138,6 +140,11 @@ class FieldParams:
     @property
     def q(self) -> int:
         return self.p ** self.h
+
+    @cached_property
+    def ring(self) -> GRParams:
+        """F_q as the Galois ring GR(p, h) of precision 1."""
+        return GRParams(self, 1)
 
 
 def field_params(p: int, h: int = 1, modulus=None) -> FieldParams:
@@ -163,37 +170,63 @@ def field_params(p: int, h: int = 1, modulus=None) -> FieldParams:
 
 
 @dataclass(frozen=True)
-class FqElem:
-    params: FieldParams
-    coeffs: tuple  # length h, entries in [0, p-1]
+class GRParams:
+    field: FieldParams
+    precision: int  # M >= 1
+
+    def __post_init__(self):
+        if self.precision < 1:
+            raise ValidationError("precision must be >= 1")
+
+    @property
+    def p(self):
+        return self.field.p
+
+    @property
+    def h(self):
+        return self.field.h
+
+    @cached_property
+    def char(self):
+        """p^M; cached, since every element operation reads it."""
+        return self.p ** self.precision
+
+
+@dataclass(frozen=True)
+class GRElem:
+    """An element of GR(p^M, h) = (Z/p^M)[t]/(phi); F_q is the case M = 1."""
+
+    params: GRParams
+    coeffs: tuple  # length h, entries in [0, p^M - 1]
 
     def _check(self, other):
         if self.params is not other.params and self.params != other.params:
-            raise ConfigError("field mismatch")
+            raise ConfigError("Galois ring mismatch")
 
     def __add__(self, other):
         self._check(other)
-        p = self.params.p
-        return FqElem(self.params, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        mod = self.params.char
+        return GRElem(self.params, tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.params.p
-        return FqElem(self.params, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        mod = self.params.char
+        return GRElem(self.params, tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        p = self.params.p
-        return FqElem(self.params, tuple((-a) % p for a in self.coeffs))
+        mod = self.params.char
+        return GRElem(self.params, tuple((-a) % mod for a in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
         params = self.params
-        return FqElem(params, polymul_mod(params.modulus, params.p, self.coeffs, other.coeffs))
+        return GRElem(params, polymul_mod(params.field.modulus, params.char,
+                                          self.coeffs, other.coeffs))
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = fq_one(self.params)
+        result = gr_one(self.params)
         base = self
         while e:
             if e & 1:
@@ -202,28 +235,36 @@ class FqElem:
             e >>= 1
         return result
 
+    def _require_field(self, operation):
+        if self.params.precision > 1:
+            raise ValidationError(f"{operation} is defined on F_q only, not at precision "
+                                  f"{self.params.precision}")
+
     def inverse(self):
+        self._require_field("inversion")
         if self.is_zero():
             raise DomainError("inversion of zero in F_q")
-        return self ** (self.params.q - 2)
+        return self ** (self.params.field.q - 2)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def to_index(self) -> int:
-        """Base-p integer encoding of the coefficient tuple (c_0 least significant)."""
-        p = self.params.p
+        """Base-p^M integer encoding of the coefficient tuple (c_0 least significant)."""
+        mod = self.params.char
         code = 0
         for c in reversed(self.coeffs):
-            code = code * p + c
+            code = code * mod + c
         return code
 
     def frobenius(self, e: int = 1):
+        self._require_field("the Frobenius")
         if e < 0:
             raise ValidationError("frobenius exponent must be >= 0")
         return self ** (self.params.p ** (e % self.params.h))
 
     def frobenius_inverse(self, e: int = 1):
+        self._require_field("the Frobenius")
         if e < 0:
             raise ValidationError("frobenius exponent must be >= 0")
         return self.frobenius((-e) % self.params.h)
@@ -242,37 +283,51 @@ class FqElem:
         return "+".join(parts) if parts else "0"
 
     def __repr__(self):
-        return f"FqElem({self.render()})"
+        return f"GRElem({self.render()} mod {self.params.char})"
 
 
-def fq(params: FieldParams, coeffs) -> FqElem:
-    """Build an element from an integer or a coefficient list of length <= h."""
+def gr_zero(params: GRParams) -> GRElem:
+    return GRElem(params, (0,) * params.h)
+
+
+def gr_one(params: GRParams) -> GRElem:
+    return GRElem(params, (1,) + (0,) * (params.h - 1))
+
+
+def from_index(params: GRParams, code: int) -> GRElem:
+    """The element whose `to_index` is `code`."""
+    mod = params.char
+    coeffs = []
+    for _ in range(params.h):
+        code, c = divmod(code, mod)
+        coeffs.append(c)
+    return GRElem(params, tuple(coeffs))
+
+
+def gr_enumerate(params: GRParams):
+    """All q^M elements in `to_index` order."""
+    return [from_index(params, code) for code in range(params.char ** params.h)]
+
+
+def fq(params: FieldParams, coeffs) -> GRElem:
+    """Build an element of F_q from an integer or a coefficient list of length <= h."""
     if isinstance(coeffs, int):
         coeffs = [coeffs]
     coeffs = list(coeffs)
     if len(coeffs) > params.h:
         raise ValidationError(f"coefficient list longer than h={params.h}")
     coeffs += [0] * (params.h - len(coeffs))
-    return FqElem(params, tuple(c % params.p for c in coeffs))
+    return GRElem(params.ring, tuple(c % params.p for c in coeffs))
 
 
-def fq_zero(params: FieldParams) -> FqElem:
-    return FqElem(params, (0,) * params.h)
+def fq_zero(params: FieldParams) -> GRElem:
+    return gr_zero(params.ring)
 
 
-def fq_one(params: FieldParams) -> FqElem:
-    return fq(params, 1)
-
-
-def fq_from_index(params: FieldParams, code: int) -> FqElem:
-    p = params.p
-    coeffs = []
-    for _ in range(params.h):
-        coeffs.append(code % p)
-        code //= p
-    return FqElem(params, tuple(coeffs))
+def fq_one(params: FieldParams) -> GRElem:
+    return gr_one(params.ring)
 
 
 def fq_enumerate(params: FieldParams):
     """All q elements, ordered by the base-p integer encoding of coefficients."""
-    return [fq_from_index(params, i) for i in range(params.q)]
+    return gr_enumerate(params.ring)

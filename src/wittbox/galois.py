@@ -9,113 +9,19 @@ Each validates the other; the cross-check is a permanent test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigError, ValidationError
-from .fqfield import FieldParams, FqElem, polymul_mod
+# GRParams, GRElem and the index codec live in fqfield, which needs them for
+# F_q; they are re-exported here as the Galois-ring API.
+from .fqfield import GRElem, GRParams, gr_enumerate, gr_one, gr_zero
 from .witt import witt_op_polys, witt_var
 from .poly import FieldDomain
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class GRParams:
-    field: FieldParams
-    precision: int  # M >= 1
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValidationError("precision must be >= 1")
-
-    @property
-    def p(self):
-        return self.field.p
-
-    @property
-    def h(self):
-        return self.field.h
-
-    @property
-    def char(self):
-        return self.p ** self.precision
-
-
-@dataclass(frozen=True)
-class GRElem:
-    params: GRParams
-    coeffs: tuple  # length h, entries in [0, p^M - 1]
-
-    def _check(self, other):
-        if self.params is not other.params and self.params != other.params:
-            raise ConfigError("Galois ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        mod = self.params.char
-        return GRElem(self.params, tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        mod = self.params.char
-        return GRElem(self.params, tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        mod = self.params.char
-        return GRElem(self.params, tuple((-a) % mod for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        params = self.params
-        return GRElem(params, polymul_mod(params.field.modulus, params.char,
-                                          self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValidationError("negative power in GR")
-        result = gr_one(self.params)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def render(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"GRElem([{self.render()}] mod {self.params.char})"
-
-
-def gr_zero(params: GRParams) -> GRElem:
-    return GRElem(params, (0,) * params.h)
-
-
-def gr_one(params: GRParams) -> GRElem:
-    return GRElem(params, (1,) + (0,) * (params.h - 1))
-
-
 def int_to_gr(c: int, params: GRParams) -> GRElem:
     return GRElem(params, (c % params.char,) + (0,) * (params.h - 1))
-
-
-def gr_make(params: GRParams, coeffs) -> GRElem:
-    coeffs = list(coeffs)
-    if len(coeffs) > params.h:
-        raise ValidationError("coefficient list longer than h")
-    coeffs += [0] * (params.h - len(coeffs))
-    return GRElem(params, tuple(c % params.char for c in coeffs))
-
-
-def gr_to_fq(y: GRElem) -> FqElem:
-    """Residue of y modulo p."""
-    p = y.params.p
-    return FqElem(y.params.field, tuple(c % p for c in y.coeffs))
 
 
 def reduce_precision(y: GRElem, m: int) -> GRElem:
@@ -126,15 +32,16 @@ def reduce_precision(y: GRElem, m: int) -> GRElem:
     return GRElem(params, tuple(c % mod for c in y.coeffs))
 
 
-def teichmuller_lift(a: FqElem, params: GRParams) -> GRElem:
+def teichmuller_lift(a: GRElem, params: GRParams) -> GRElem:
     """The unique z with z = a mod p and z^q = z, via M-1 Frobenius iterations.
 
     Each z -> z^q step gains one digit of agreement with the fixed point, so
     exactly precision-1 iterations suffice; no fixed-point polling.
     """
-    if a.params != params.field:
+    ring = params.field.ring
+    if a.params is not ring and a.params != ring:
         raise ConfigError("field mismatch in Teichmuller lift")
-    z = GRElem(params, tuple(a.coeffs) + (0,) * (params.h - len(a.coeffs)))
+    z = GRElem(params, a.coeffs)
     q = params.field.q
     for _ in range(params.precision - 1):
         z = z ** q
@@ -151,7 +58,7 @@ def to_digits(y: GRElem):
         level = params.precision - i
         mod = p ** level
         coeffs = [c % mod for c in coeffs]
-        a = FqElem(params.field, tuple(c % p for c in coeffs))
+        a = GRElem(params.field.ring, tuple(c % p for c in coeffs))
         digits.append(a)
         tau = teichmuller_lift(a, GRParams(params.field, level))
         coeffs = [((c - t) % mod) // p for c, t in zip(coeffs, tau.coeffs)]
@@ -208,19 +115,3 @@ def ord_p(y: GRElem):
                 v += 1
             best = min(best, v)
     return best
-
-
-def gr_enumerate(params: GRParams):
-    """All q^M elements in ascending coefficient-tuple (base p^M) order."""
-    mod = params.char
-    h = params.h
-    total = mod ** h
-    out = []
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(h):
-            coeffs.append(c % mod)
-            c //= mod
-        out.append(GRElem(params, tuple(coeffs)))
-    return out

@@ -33,8 +33,8 @@ from .errors import BudgetError, ParseError
 from .fqfield import field_params, fq
 from .poly import FieldDomain, MultiPoly, ZZ
 
-# A `^` whose expansion could exceed this many terms is refused before it is
-# expanded, so a short line cannot make parsing run for minutes.  Squaring
+# A `^` or `*` whose result could exceed this many terms is refused before it
+# is expanded, so a short line cannot make parsing run for minutes.  Squaring
 # costs the square of the term count and integer coefficients grow with the
 # exponent: on a 2-vCPU VM, (7*x1 + 5)^1023 (1024 terms) expands in about
 # 2 s and (x1 + 1)^4095 (4096 terms) in about 27 s.
@@ -86,6 +86,10 @@ class _ExprParser:
     def _fail(self, message):
         raise ParseError(message, self.line)
 
+    def _refuse(self, what):
+        where = "" if self.line is None else f"line {self.line}: "
+        raise BudgetError(f"{where}{what} could produce more than {MAX_POWER_TERMS} terms")
+
     def parse(self) -> MultiPoly:
         poly = self._expr()
         if self.i != len(self.tokens):
@@ -109,7 +113,10 @@ class _ExprParser:
             kind, val = self._peek()
             if kind == "op" and val == "*":
                 self._next()
-                poly = poly * self._factor()
+                rhs = self._factor()
+                if _product_terms_bound(poly, rhs) > MAX_POWER_TERMS:
+                    self._refuse("multiplying with `*`")
+                poly = poly * rhs
             else:
                 return poly
 
@@ -127,9 +134,7 @@ class _ExprParser:
                 self._fail("exponent must be an integer literal")
             e = int(eval_)
             if _power_terms_bound(poly, e) > MAX_POWER_TERMS:
-                where = "" if self.line is None else f"line {self.line}: "
-                raise BudgetError(f"{where}expanding `^{e}` could produce more than "
-                                  f"{MAX_POWER_TERMS} terms")
+                self._refuse(f"expanding `^{e}`")
             poly = poly ** e
         return poly
 
@@ -165,6 +170,21 @@ def _power_terms_bound(poly, e: int) -> int:
     v = sum(1 for column in zip(*poly.terms) if any(column))
     d, t = poly.total_degree(), max(len(poly.terms), 1)
     return min(_binomial(v + d * e, v), _binomial(t + e - 1, e))
+
+
+def _product_terms_bound(f, g) -> int:
+    """An upper bound on the number of terms of f*g, exact up to MAX_POWER_TERMS.
+
+    f*g has at most t1*t2 products of their terms, and at most
+    C(v + d1 + d2, v) monomials of degree <= d1 + d2 in the v variables that
+    occur in f or g; the second is only worked out when the first is past the
+    cap.
+    """
+    products = len(f.terms) * len(g.terms)
+    if products <= MAX_POWER_TERMS:
+        return products
+    v = sum(1 for column in zip(*f.terms, *g.terms) if any(column))
+    return min(_binomial(v + f.total_degree() + g.total_degree(), v), products)
 
 
 def _binomial(n: int, k: int) -> int:

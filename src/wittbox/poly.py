@@ -1,4 +1,4 @@
-"""Sparse exact multivariate polynomials over Z, F_q, or Z/p^M.
+"""Sparse exact multivariate polynomials over Z or F_q.
 
 Terms map exponent tuples (one slot per declared variable) to nonzero
 coefficients.  All arithmetic is exact; there is no floating point anywhere.
@@ -12,7 +12,7 @@ from itertools import chain
 from operator import lshift
 
 from .errors import ConfigError, ExactDivisionError, ValidationError
-from .fqfield import FieldParams, FqElem, fq, fq_one, fq_zero
+from .fqfield import FieldParams, GRElem, fq, fq_one, fq_zero
 
 
 # The coefficient domains are plain immutable-by-convention classes: a
@@ -46,46 +46,13 @@ class IntegerDomain:
         return str(c)
 
 
-class ModularDomain:
-    __slots__ = ("modulus",)
-
-    def __init__(self, modulus: int):
-        self.modulus = modulus
-
-    def __eq__(self, other):
-        return type(other) is ModularDomain and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash((self.modulus,))
-
-    def __repr__(self):
-        return f"ModularDomain(modulus={self.modulus!r})"
-
-    def coerce(self, v):
-        if isinstance(v, int):
-            return v % self.modulus
-        raise ConfigError(f"cannot coerce {v!r} into Z/{self.modulus}")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def is_zero(self, c):
-        return c % self.modulus == 0
-
-    def render(self, c):
-        return str(c % self.modulus)
-
-
 class FieldDomain:
-    __slots__ = ("params",)
+    __slots__ = ("params", "zero", "one")
 
     def __init__(self, params: FieldParams):
         self.params = params
+        self.zero = fq_zero(params)
+        self.one = fq_one(params)
 
     def __eq__(self, other):
         return type(other) is FieldDomain and (
@@ -98,21 +65,14 @@ class FieldDomain:
         return f"FieldDomain(params={self.params!r})"
 
     def coerce(self, v):
-        if isinstance(v, FqElem):
-            if v.params is not self.params and v.params != self.params:
+        if isinstance(v, GRElem):
+            ring = self.params.ring
+            if v.params is not ring and v.params != ring:
                 raise ConfigError("F_q element from a different field")
             return v
         if isinstance(v, int):
             return fq(self.params, v)
         raise ConfigError(f"cannot coerce {v!r} into F_q")
-
-    @property
-    def zero(self):
-        return fq_zero(self.params)
-
-    @property
-    def one(self):
-        return fq_one(self.params)
 
     def is_zero(self, c):
         return c.is_zero()
@@ -155,8 +115,10 @@ class MultiPoly:
         variables = tuple(variables)
         if name not in variables:
             raise ConfigError(f"unknown variable {name!r}")
-        exps = tuple([1 if v == name else 0 for v in variables])
-        return cls(domain, variables, {exps: domain.one})
+        out = cls.__new__(cls)
+        out.domain, out.variables = domain, variables
+        out.terms = {tuple([1 if v == name else 0 for v in variables]): domain.one}
+        return out
 
     # -- predicates ---------------------------------------------------------
 
@@ -203,13 +165,7 @@ class MultiPoly:
         return out
 
     def __neg__(self):
-        dom = self.domain
-        if isinstance(dom, IntegerDomain):
-            terms = {e: -c for e, c in self.terms.items()}
-        elif isinstance(dom, ModularDomain):
-            terms = {e: (-c) % dom.modulus for e, c in self.terms.items()}
-        else:
-            terms = {e: -c for e, c in self.terms.items()}
+        terms = {e: -c for e, c in self.terms.items()}
         out = MultiPoly.__new__(MultiPoly)
         out.domain, out.variables, out.terms = self.domain, self.variables, terms
         return out

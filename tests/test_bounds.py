@@ -9,9 +9,7 @@ from wittbox.bounds import (
     ax_katz_bound,
     bound_report,
     ceil_star,
-    cwg_bound,
     general_bound,
-    improved_bound,
     kmr_bound,
     minimal_d,
     stacked_bound,
@@ -77,7 +75,14 @@ def test_general_bound():
 
 
 def test_cwg_is_general_at_m1():
-    assert cwg_bound(5, 2, [2, 1], [1, 2]) == general_bound(5, 1, 2, [2, 1], [1, 2])
+    # m = 1 over a closed box: the cwg entry is the general bound at m = 1
+    inst = parse_instance("[ring]\np = 2\n[problem]\nn = 8\nm = 1\n[system]\n"
+                          "f1 = x1 + 3*x2 mod p^2\nf2 = x3^2 + x4*x5 mod p^1\n")
+    report = bound_report(inst)
+    cwg = report.entry("cwg")
+    assert cwg.applicable and cwg.value == general_bound(8, 1, 2, [1, 2], [2, 1]) == 2
+    assert cwg.value == report.entry("general").value
+    assert not bound_report(parse_instance(EXAMPLE_41)).entry("cwg").applicable  # m = 2
 
 
 def test_stacked_bound():
@@ -85,14 +90,22 @@ def test_stacked_bound():
     assert stacked_bound(3, 1, 3, 1, [2]) == ax_katz_bound(3, [2]) + 3 * 2
     # m1 = m reduces to the equal-moduli bound
     assert stacked_bound(3, 1, 2, 2, [3]) == kmr_bound(3, 1, 2, [3])
+    # 1 < m1 < m: the equal-moduli bound at m1, plus the stacking term
+    assert stacked_bound(4, 1, 3, 2, [1]) == kmr_bound(4, 1, 2, [1]) + 4 * 1 == 10
     with pytest.raises(ValidationError):
         stacked_bound(3, 1, 1, 2, [2])
 
 
 def test_improved_bound():
-    assert improved_bound(4, 2, 2, [3], [1]) == general_bound(4, 2, 2, [3], [1])
-    with pytest.raises(ValidationError):
-        improved_bound(4, 2, 2, [3], [0])
+    # the improved entry is the general bound with minimal_d in place of degrees
+    inst = parse_instance(EXAMPLE_41)
+    improved = bound_report(inst).entry("improved")
+    assert improved.applicable and improved.value == general_bound(4, 2, 2, [3], [minimal_d(inst, 0)])
+    # every term's coefficient vanishes mod p^m_k: no term constrains d, which stays 1
+    f = MultiPoly(ZZ, system_variable_names(2), {(1, 1): 4, (2, 0): 8})
+    inst = make_instance(teichmuller_box(F2, 2, 1), [(f, 2)])
+    assert minimal_d(inst, 0) == 1
+    assert bound_report(inst).entry("improved").notes.endswith("; d=1")
 
 
 def test_minimal_d_oracles():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wittbox.errors import BudgetError, ValidationError
-from wittbox.fqfield import field_params, fq, fq_from_index
+from wittbox.fqfield import field_params, fq, from_index
 from wittbox.poly import FieldDomain, MultiPoly
 from wittbox.box import (
     box_enumerate,
@@ -179,9 +179,9 @@ def _random_generator(rng, field, names, kind):
     terms = {}
     for _ in range(rng.randint(1, 4)):
         exps = tuple(rng.randrange(q) for _ in names)
-        terms[exps] = fq_from_index(field, rng.randrange(1, q))
+        terms[exps] = from_index(field.ring, rng.randrange(1, q))
     if kind == "edges":  # a constant term and an x^(q-1) term
-        terms[(0,) * len(names)] = fq_from_index(field, rng.randrange(1, q))
+        terms[(0,) * len(names)] = from_index(field.ring, rng.randrange(1, q))
         top = rng.randrange(len(names))
         terms[tuple(q - 1 if k == top else 0 for k in range(len(names)))] = fq(field, 1)
     return MultiPoly(dom, names, terms)

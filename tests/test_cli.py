@@ -194,3 +194,29 @@ def test_huge_power_is_refused_before_expansion(tmp_path, capsys):
     path.write_text(path.read_text().replace("(x1 + x2 + 1)^3000", f"x1^{2 ** 40} + x2"))
     code, out = run(capsys, "count", str(path))
     assert code == EXIT_OK
+
+
+def test_long_product_is_refused_before_multiplying(tmp_path, capsys):
+    # eight (x1 + x2 + x3 + 1)^9 factors, each within the `^` cap, used to be
+    # multiplied out for seconds; the product bound refuses the second `*`
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    factor = "(x1 + x2 + x3 + 1)^9"
+    path = tmp_path / "product.ini"
+    path.write_text("[ring]\np = 2\n[problem]\nn = 3\nm = 1\n[system]\n"
+                    f"f1 = {' * '.join([factor] * 8)} mod p^1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ("error.kind=budget\nerror.message=line 7: multiplying with `*` "
+                           "could produce more than 1024 terms\n")
+    # a product whose terms stay under the cap is multiplied as before
+    path.write_text(path.read_text().replace(" * ".join([factor] * 8), "(x1 + 1)^9 * (x2 + x3)^9"))
+    code, out = run(capsys, "count", str(path))
+    assert code == EXIT_OK

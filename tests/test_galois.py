@@ -5,12 +5,11 @@ import pytest
 from wittbox.errors import ConfigError, ValidationError
 from wittbox.fqfield import field_params, fq, fq_enumerate
 from wittbox.galois import (
+    GRElem,
     GRParams,
     from_digits,
     gr_enumerate,
-    gr_make,
     gr_one,
-    gr_to_fq,
     gr_zero,
     int_to_gr,
     ord_p,
@@ -46,7 +45,7 @@ def test_basic_arithmetic_mod8():
 def test_gr42_multiplication():
     # oracle: t * t = t + 1 mod (t^2 + t + 1) lifts to 3 + 3t mod 4,
     # since t^2 = -t - 1 = 3 + 3t over Z/4.
-    t = gr_make(GR4_2, [0, 1])
+    t = GRElem(GR4_2, (0, 1))
     assert (t * t).coeffs == (3, 3)
 
 
@@ -56,8 +55,8 @@ def test_cross_ring_mismatch():
 
 
 def test_residue_and_reduce():
-    a = gr_make(GR4_2, [3, 2])
-    assert gr_to_fq(a).coeffs == (1, 0)
+    a = GRElem(GR4_2, (3, 2))
+    assert reduce_precision(a, 1) == fq(GR4_2.field, [1, 0])
     assert reduce_precision(int_to_gr(6, Z8), 2).coeffs == (2,)
     with pytest.raises(ValidationError):
         reduce_precision(int_to_gr(6, Z8), 4)
@@ -68,7 +67,7 @@ def test_teichmuller_fixed_points():
         q = params.field.q
         for a in fq_enumerate(params.field):
             z = teichmuller_lift(a, params)
-            assert gr_to_fq(z) == a  # reduces to a mod p
+            assert reduce_precision(z, 1) == a  # reduces to a mod p
             assert z ** q == z  # q-th power fixed point
     # frozen oracle: tau(2) = 8 in Z/9 (8^3 = 512 = 8 mod 9, 8 = 2 mod 3)
     assert teichmuller_lift(fq(Z9.field, 2), Z9).coeffs == (8,)
@@ -113,7 +112,7 @@ def test_ord_p():
     assert ord_p(int_to_gr(4, Z8)) == 2
     assert ord_p(int_to_gr(1, Z8)) == 0
     assert ord_p(gr_zero(Z8)) == math.inf
-    assert ord_p(gr_make(GR4_2, [2, 2])) == 1
+    assert ord_p(GRElem(GR4_2, (2, 2))) == 1
 
 
 def test_enumerate():
@@ -123,3 +122,20 @@ def test_enumerate():
     assert elems[0] == gr_zero(Z9)
     assert elems[1] == gr_one(Z9)
     assert len(gr_enumerate(GR4_2)) == 16
+
+
+def test_fq_is_gr_at_precision_1():
+    for field in (field_params(2), field_params(2, 2), field_params(3, 2)):
+        elems = fq_enumerate(field)
+        assert elems == gr_enumerate(GRParams(field, 1))
+        assert [a.to_index() for a in elems] == list(range(field.q))
+    assert [y.to_index() for y in gr_enumerate(GR4_2)] == list(range(16))
+    assert GRElem(GR4_2, (3, 2)).render() == "3+2*t"
+
+
+def test_field_operations_refuse_precision_above_1():
+    for params in (Z8, GR4_2):
+        y = gr_one(params)
+        for operation in (y.inverse, y.frobenius, y.frobenius_inverse, lambda: y ** -1):
+            with pytest.raises(ValidationError):
+                operation()

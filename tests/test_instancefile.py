@@ -152,3 +152,22 @@ def test_power_term_bound_is_an_upper_bound_and_refuses_early():
     with pytest.raises(BudgetError, match="line 9: "):
         parse_poly("(x1 + x2 + 1)^44", ZZ, names, line=9)  # C(46, 2) = 1035 terms
     assert len(parse_poly("(x1 + x2 + 1)^43", ZZ, names).terms) == 990 <= MAX_POWER_TERMS
+
+
+def test_product_term_bound_is_an_upper_bound_and_refuses_early():
+    from wittbox.errors import BudgetError
+    from wittbox.instancefile import MAX_POWER_TERMS, _product_terms_bound
+
+    names = ("x1", "x2", "x3")
+    for left, right in (("x1 + x2 + 1", "x1 - x2"), ("x1*x2 + x3^2", "x3 + 1"), ("0", "x1"),
+                        ("2", "3"), ("(x1 + x2 + x3 + 1)^4", "(x1 + x2 + 1)^5")):
+        f, g = parse_poly(left, ZZ, names), parse_poly(right, ZZ, names)
+        assert len((f * g).terms) <= _product_terms_bound(f, g)
+    # 220 * 220 term products, but at most C(3 + 18, 3) = 1330 monomials: refused
+    with pytest.raises(BudgetError, match="line 4: multiplying"):
+        parse_poly("(x1 + x2 + x3 + 1)^9 * (x1 + x2 + x3 + 1)^9", ZZ, names, line=4)
+    # at most C(2 + 62, 2) = 2016 monomials, but only 32 * 32 term products: accepted
+    f = parse_poly("(x1 + 1)^31 * (x2 + 1)^31", ZZ, names)
+    assert len(f.terms) == 32 * 32 == MAX_POWER_TERMS
+    with pytest.raises(BudgetError):
+        parse_poly("(x1 + 1)^31 * (x2 + 1)^32", ZZ, names)  # 32 * 33 terms

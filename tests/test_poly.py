@@ -2,7 +2,7 @@ import pytest
 
 from wittbox.errors import ConfigError, ExactDivisionError, ValidationError
 from wittbox.fqfield import field_params, fq
-from wittbox.poly import FieldDomain, IntegerDomain, ModularDomain, MultiPoly, ZZ
+from wittbox.poly import FieldDomain, IntegerDomain, MultiPoly, ZZ
 
 NAMES = ("x", "y")
 
@@ -62,14 +62,6 @@ def test_degrees():
 def test_scale_exponents():
     f = X * Y + Y
     assert f.scale_exponents({"x": 2, "y": 3}).terms == {(2, 3): 1, (0, 3): 1}
-
-
-def test_modular_domain():
-    dom = ModularDomain(8)
-    f = MultiPoly(dom, NAMES, {(1, 0): 5})
-    g = MultiPoly(dom, NAMES, {(1, 0): 3})
-    assert (f + g).is_zero()
-    assert (f * g).terms == {(2, 0): 7}
 
 
 def test_field_domain_reduction():
@@ -135,13 +127,21 @@ def test_render_field_coefficients():
 def test_domains_compare_by_value():
     f2, f4 = field_params(2), field_params(2, 2)
     assert ZZ == IntegerDomain() and hash(ZZ) == hash(IntegerDomain())
-    assert ModularDomain(8) == ModularDomain(8) != ModularDomain(4)
     assert FieldDomain(f4) == FieldDomain(field_params(2, 2)) != FieldDomain(f2)
     assert hash(FieldDomain(f4)) == hash(FieldDomain(field_params(2, 2)))
-    assert ZZ != ModularDomain(8) and ModularDomain(2) != FieldDomain(f2)
-    assert repr(ModularDomain(8)) == "ModularDomain(modulus=8)"
+    assert ZZ != FieldDomain(f2)
     assert repr(FieldDomain(f2)) == f"FieldDomain(params={f2!r})"
     with pytest.raises(ConfigError):
         MultiPoly.variable(FieldDomain(f4), ("x",), "x") * MultiPoly.variable(FieldDomain(f2), ("x",), "x")
     with pytest.raises(ConfigError):
         FieldDomain(f2).coerce(fq(f4, 1))
+
+
+def test_field_domain_constants_are_built_once():
+    f4 = field_params(2, 2)
+    dom = FieldDomain(f4)
+    assert dom.one is dom.one and dom.zero is dom.zero
+    assert dom.one == fq(f4, 1) and dom.zero == fq(f4, 0) and dom.zero.is_zero()
+    x = MultiPoly.variable(dom, ("x", "y"), "x")
+    assert x.terms == {(1, 0): fq(f4, 1)} and x.terms[(1, 0)] is dom.one
+    assert x == MultiPoly(dom, ("x", "y"), {(1, 0): 1})
