@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -209,3 +212,87 @@ def test_frozen_mixed_degree_counterexample():
     all_report = bound_report(inst, count=count, reading=READING_ALL)
     assert all_report.entry("kmr").value == 2
     assert all_report.entry("kmr").verdict(count) == "FAIL"
+
+
+def separable_split_instance(rng):
+    """A seeded separable system over a split box, q in {2, 3}, n = 8..24.
+
+    Returns the instance text and, per column, the generators as
+    {level: [(coefficient, free-digit levels)]} and each f_k's terms in that
+    column as [(coefficient, exponent)], for `separable_split_count`.
+    """
+    p, n, m = rng.choice((2, 3)), rng.randint(8, 24), rng.choice((1, 2))
+    moduli = sorted(rng.randint(1, 3) for _ in range(rng.choice((1, 2))))
+    constants = [rng.randrange(p ** mk) if rng.random() < 0.3 else 0 for mk in moduli]
+    columns = []
+    for _ in range(n):
+        gens = {i: [(rng.randrange(1, p), tuple(sorted(rng.sample(range(m), rng.randint(0, m)))))
+                    for _ in range(rng.randint(1, 2))]
+                for i in range(m, moduli[-1]) if rng.random() < 0.7}
+        terms = [[(rng.randrange(1, p ** mk), e) for e in rng.sample((1, 2, 3), rng.randint(0, 2))]
+                 for mk in moduli]
+        columns.append((gens, terms))
+    for k in range(len(moduli)):  # every f_k is nonconstant
+        if not any(ts[k] for _, ts in columns):
+            columns[0][1][k].append((1, 1))
+
+    def monomial(c, factors):
+        return "*".join([str(c)] + factors)
+
+    system = []
+    for k, (mk, const) in enumerate(zip(moduli, constants)):
+        terms = [monomial(c, [f"x{j}^{e}"])
+                 for j, (_, ts) in enumerate(columns, 1) for c, e in ts[k]]
+        system.append(f"f{k + 1} = {' + '.join(terms + [str(const)])} mod p^{mk}")
+    box = [f"g[{i}][{j}] = " + " + ".join(monomial(c, [f"x[{l}][{j}]" for l in mono])
+                                          for c, mono in gen)
+           for j, (gens, _) in enumerate(columns, 1) for i, gen in sorted(gens.items())]
+    text = "\n".join([f"[ring]\np = {p}\n[problem]\nn = {n}\nm = {m}\n[system]", *system,
+                      "[box]", *box]) + "\n"
+    return text, (p, m, moduli, constants, columns)
+
+
+def separable_split_count(p, m, moduli, constants, columns):
+    """|V| by convolving per-column residue histograms on plain ints.
+
+    For p in {2, 3} the Teichmuller lifts of the digits 0, 1, 2 are 0, 1, -1,
+    so a column is y = sum_i p^i * lift(a_i), a_i its free digit below m and
+    its generator's value mod p from m up to M'.
+    """
+    lift = (0, 1, -1)
+    mods = [p ** mk for mk in moduli]
+    hist = {tuple(c % md for c, md in zip(constants, mods)): 1}
+    for gens, terms in columns:
+        col = {}
+        for free in itertools.product(range(p), repeat=m):
+            digits = list(free) + [
+                sum(c * math.prod(free[l] for l in mono) for c, mono in gens.get(i, ())) % p
+                for i in range(m, moduli[-1])]
+            y = sum(p ** i * lift[a] for i, a in enumerate(digits))
+            key = tuple(sum(c * y ** e for c, e in ts) % md for ts, md in zip(terms, mods))
+            col[key] = col.get(key, 0) + 1
+        nxt = {}
+        for a, x in hist.items():
+            for b, z in col.items():
+                key = tuple((u + v) % md for u, v, md in zip(a, b, mods))
+                nxt[key] = nxt.get(key, 0) + x * z
+        hist = nxt
+    return hist.get((0,) * len(mods), 0)
+
+
+def test_separable_soundness_sweep():
+    # split boxes of up to 3^48 points, counted component by component, so
+    # the bounds reach values that the brute-force-sized sweep never does
+    rng = random.Random("separable-soundness")
+    cases, reaching = 40, 0
+    for _ in range(cases):
+        text, data = separable_split_instance(rng)
+        inst = parse_instance(text)
+        count = count_zeros(inst, budget=inst.box.base_size())
+        assert count.cardinality == separable_split_count(*data), text
+        p, h = inst.field.p, inst.field.h
+        values = [e.value for e in bound_report(inst, count=count).entries if e.applicable]
+        if count.cardinality:
+            assert all(count.cardinality % p ** (h * v) == 0 for v in values), text
+            reaching += max(values, default=0) >= 2
+    assert reaching >= cases // 4

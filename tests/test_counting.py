@@ -131,3 +131,28 @@ def test_mod4_circle_oracle():
     f = MultiPoly(ZZ, names, {(2, 0): 1, (0, 2): 1})
     inst = make_instance(box, [(f, 2)])
     assert count_zeros(inst).cardinality == count
+
+
+def test_separable_count_runs_in_bounded_memory(tmp_path):
+    # f1 = sum_{j<24} 2^j x_{j+1} mod 2^24 has the one zero x = 0 among 2^24
+    # points; its 24 one-column components are convolved only up to
+    # HISTOGRAM_CAP entries, so memory stays flat where an uncapped
+    # histogram would hold 2^24 residues
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    terms = " + ".join(f"{2 ** j}*x{j + 1}" for j in range(24))
+    path = tmp_path / "binary.ini"
+    path.write_text(f"[ring]\np = 2\n[problem]\nn = 24\nm = 1\n[system]\nf1 = {terms} mod p^24\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("cardinality=1\n")
+    # the peak of the largest child of this process so far, in KiB
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 100 * 1024
