@@ -18,14 +18,12 @@ from .box import (
     box_from_table,
     box_make,
     closeness_check,
-    split_box,
     teichmuller_box,
 )
 from .counting import CountReport, ProblemInstance, count_zeros, evaluate_point, make_instance
 from .errors import (
     BudgetError,
     ConfigError,
-    DomainError,
     ExactDivisionError,
     ParseError,
     ValidationError,
@@ -35,7 +33,6 @@ from .fqfield import FieldParams, GRElem, GRParams, field_params, fq, fq_enumera
 from .galois import (
     from_digits,
     int_to_gr,
-    ord_p,
     teichmuller_lift,
     to_digits,
     witt_digit_op,
@@ -48,7 +45,6 @@ from .witt import (
     ghost_check,
     twisted_digit_polys,
     witt_op_polys,
-    witt_poly,
 )
 
 __version__ = "0.1.0"

@@ -24,14 +24,12 @@ READING_ANY = "any"  # literal reading: some degree exceeds 1
 # literal "any" reading survives the same sweeps, so it is the default.
 DEFAULT_READING = READING_ANY
 
+D_BUDGET = 1 << 20  # (i, beta) pairs one minimal_d call may enumerate
+
 
 def ceil_star(t) -> int:
     """Least nonnegative integer >= t."""
     return max(0, math.ceil(t))
-
-
-def floor_int(t) -> int:
-    return math.floor(t)
 
 
 def _degree_case_holds(degs, reading: str) -> bool:
@@ -52,7 +50,7 @@ def kmr_bound(n: int, s: int, m: int, degs, reading: str = DEFAULT_READING) -> i
     if m < 2:
         raise ValidationError("the equal-moduli bound needs m >= 2")
     if n > s and _degree_case_holds(degs, reading):
-        return floor_int(Fraction((n - s + 1) * m - 1, 2))
+        return math.floor(Fraction((n - s + 1) * m - 1, 2))
     return ceil_star((n - s) * m)
 
 
@@ -86,7 +84,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def minimal_d(inst: ProblemInstance, k: int, budget: int = 1 << 20) -> int:
+def minimal_d(inst: ProblemInstance, k: int) -> int:
     """Least d >= 1 for which every surviving expansion term of f_k satisfies the
     per-term degree condition deg(a * prod g) <= d * p^(h*floor((i+|beta|)/h)).
 
@@ -110,7 +108,7 @@ def minimal_d(inst: ProblemInstance, k: int, budget: int = 1 << 20) -> int:
             for total in range(mk - i):
                 for beta in _compositions(total, len(slots)):
                     work += 1
-                    if work > budget:
+                    if work > D_BUDGET:
                         raise BudgetError("minimal-d enumeration budget exceeded")
                     deg = 0
                     dead = False
@@ -169,7 +167,7 @@ class BoundReport:
 
 
 def bound_report(inst: ProblemInstance, count: CountReport | None = None,
-                 reading: str = DEFAULT_READING, d_budget: int = 1 << 20) -> BoundReport:
+                 reading: str = DEFAULT_READING) -> BoundReport:
     spec = inst.box
     n, m = spec.n, spec.m
     p = spec.field.p
@@ -193,11 +191,11 @@ def bound_report(inst: ProblemInstance, count: CountReport | None = None,
         # The single-polynomial statement omits n > 1 in its second case; the
         # proof needs it, so the conservative case selection is used and the
         # alternative value is recorded here.
-        alt = floor_int(Fraction(n * m1 - 1, 2)) + n * (m - m1)
+        alt = math.floor(Fraction(n * m1 - 1, 2)) + n * (m - m1)
         stacked_note += f"; alternative single-polynomial reading would give {alt}"
 
     try:
-        d_list = [minimal_d(inst, k, budget=d_budget) for k in range(s)]
+        d_list = [minimal_d(inst, k) for k in range(s)]
         improved_note = ("per-term degree condition satisfied by construction; d=" +
                          ",".join(str(d) for d in d_list))
     except BudgetError:

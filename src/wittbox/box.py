@@ -16,6 +16,8 @@ from .errors import BudgetError, ValidationError
 from .fqfield import FieldParams, GRElem, fq_enumerate, from_index, polymul_mod
 from .poly import FieldDomain, MultiPoly
 
+TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
+
 
 def box_variable_names(n: int, m: int):
     """Free digit variables, i-major then j, matching the file syntax."""
@@ -46,7 +48,7 @@ class BoxSpec:
         return g
 
 
-def box_make(field: FieldParams, n: int, m: int, generators=None, split=False) -> BoxSpec:
+def box_make(field: FieldParams, n: int, m: int, generators=None) -> BoxSpec:
     if n < 1 or m < 1:
         raise ValidationError("n and m must be positive")
     names = box_variable_names(n, m)
@@ -61,18 +63,6 @@ def box_make(field: FieldParams, n: int, m: int, generators=None, split=False) -
             raise ValidationError(f"generator g[{i}][{j}] uses a foreign variable context")
         if not g.is_reduced():
             raise ValidationError(f"generator g[{i}][{j}] is not reduced (variable exponent > q-1)")
-        if split:
-            column = {f"x[{k}][{j}]" for k in range(m)}
-            used = {
-                name
-                for exps in g.terms
-                for name, e in zip(names, exps)
-                if e
-            }
-            if not used <= column:
-                raise ValidationError(
-                    f"split box violated: g[{i}][{j}] uses variables outside column {j}"
-                )
         if not g.is_zero():
             clean[(i, j)] = g
     return BoxSpec(field=field, n=n, m=m, generators=clean)
@@ -80,10 +70,6 @@ def box_make(field: FieldParams, n: int, m: int, generators=None, split=False) -
 
 def teichmuller_box(field: FieldParams, n: int, m: int) -> BoxSpec:
     return box_make(field, n, m, {})
-
-
-def split_box(field: FieldParams, n: int, m: int, generators) -> BoxSpec:
-    return box_make(field, n, m, generators, split=True)
 
 
 @dataclass(frozen=True)
@@ -119,18 +105,11 @@ def expand_point(spec: BoxSpec, base, precision: int) -> BoxPoint:
     return BoxPoint(base=tuple(base), digits=tuple(digits))
 
 
-def box_enumerate(spec: BoxSpec, precision: int, start: int = 0, stop=None):
-    """Stream the q^{nm} points with digits computed up to the given precision.
-
-    `start`/`stop` select a contiguous index range of the base space, enabling
-    independent partitioned iteration.
-    """
+def box_enumerate(spec: BoxSpec, precision: int):
+    """Stream the q^{nm} points with digits computed up to the given precision."""
     if precision < spec.m:
         raise ValidationError("precision must be at least m")
-    total = spec.base_size()
-    if stop is None:
-        stop = total
-    for index in range(start, min(stop, total)):
+    for index in range(spec.base_size()):
         yield expand_point(spec, decode_base(spec, index), precision)
 
 
@@ -155,8 +134,7 @@ def closeness_check(spec: BoxSpec, m_prime: int):
     return (not violations), violations
 
 
-def box_from_table(field: FieldParams, n: int, m: int, precision: int, table,
-                   budget: int = 1 << 20) -> BoxSpec:
+def box_from_table(field: FieldParams, n: int, m: int, precision: int, table) -> BoxSpec:
     """Recover the unique reduced generators from a full enumeration table.
 
     `table` is an iterable of (base, digits) pairs shaped like BoxPoint
@@ -172,8 +150,8 @@ def box_from_table(field: FieldParams, n: int, m: int, precision: int, table,
     q = field.q
     nm = n * m
     expected = q ** nm
-    if expected > budget:
-        raise BudgetError(f"table of {expected} rows exceeds the budget {budget}")
+    if expected > TABLE_BUDGET:
+        raise BudgetError(f"table of {expected} rows exceeds the budget {TABLE_BUDGET}")
     names = box_variable_names(n, m)
     dom = FieldDomain(field)
     rows = []

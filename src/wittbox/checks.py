@@ -9,18 +9,11 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .box import box_enumerate, box_from_table, box_make, teichmuller_box
+from .box import box_enumerate, box_from_table, box_make, box_variable_names, teichmuller_box
 from .counting import make_instance, count_zeros, system_variable_names
 from .fixtures import EXAMPLE_41
-from .fqfield import field_params, fq_enumerate
-from .galois import (
-    GRParams,
-    from_digits,
-    gr_enumerate,
-    gr_zero,
-    to_digits,
-    witt_digit_op,
-)
+from .fqfield import GRParams, field_params, fq_enumerate, gr_enumerate, gr_zero
+from .galois import from_digits, to_digits, witt_digit_op
 from .instancefile import parse_instance
 from .poly import FieldDomain, MultiPoly, ZZ
 from .witt import (
@@ -35,7 +28,8 @@ from .witt import (
 )
 
 
-def ghost_suite(max_k: int = 3):
+def ghost_suite():
+    max_k = 3
     results = []
     for p in (2, 3):
         for r in (2, 3):
@@ -54,7 +48,8 @@ def ghost_suite(max_k: int = 3):
     return results
 
 
-def homogeneity_suite(max_n: int = 2):
+def homogeneity_suite():
+    max_n = 2
     results = []
     for p in (2, 3):
         for r in (2, 3):
@@ -81,8 +76,9 @@ def homogeneity_suite(max_n: int = 2):
     return results
 
 
-def degree_bound_suite(max_n: int = 2):
+def degree_bound_suite():
     """Weighted degree ceilings with weights d_j * p^i, d_j in {1, 2}."""
+    max_n = 2
     results = []
     for p in (2, 3):
         for r in (2, 3):
@@ -135,16 +131,17 @@ def crosscheck_suite():
     return results
 
 
-def vanishing_suite(max_m: int = 3, max_r: int = 3):
+def vanishing_suite():
     """Three-way equivalence: sum == 0 mod p^m, digits of the sum vanish, and
-    the twisted digit polynomials vanish, over all digit tuples (q = 2)."""
+    the twisted digit polynomials vanish, over all digit tuples (q = 2, m <= 3,
+    r <= 3)."""
     field = field_params(2)
     dom = FieldDomain(field)
     elems = fq_enumerate(field)
     results = []
-    for m in range(1, max_m + 1):
+    for m in range(1, 4):
         params = GRParams(field, m)
-        for r in range(2, max_r + 1):
+        for r in range(2, 4):
             polys = twisted_digit_polys(2, m - 1, r, SUM)
             names = witt_variable_names(m - 1, r)
             ok = True
@@ -180,10 +177,11 @@ def _random_reduced_poly(rng, dom, names, q, max_terms=3):
     return MultiPoly(dom, names, terms)
 
 
-def stacking_suite(cases: int = 50, seed: int = 20240501):
+def stacking_suite():
     """|V| over a random box equals q^{n(m - m_s)} times the Teichmuller-box
     count at precision m_s, for any generators (q = 2)."""
-    rng = random.Random(seed)
+    cases = 50
+    rng = random.Random(20240501)
     field = field_params(2)
     dom = FieldDomain(field)
     ok = True
@@ -191,8 +189,6 @@ def stacking_suite(cases: int = 50, seed: int = 20240501):
         n = rng.randrange(1, 4)
         m = rng.randrange(2, 4)
         m_s = rng.randrange(1, m)
-        from .box import box_variable_names
-
         names = box_variable_names(n, m)
         generators = {}
         for i in range(m, m + rng.randrange(0, 3)):
@@ -228,8 +224,6 @@ def roundtrip_suite():
 
     specs = []
     specs.append(("teichmuller n=2 m=2", teichmuller_box(field, 2, 2), 3))
-    from .box import box_variable_names
-
     names = box_variable_names(2, 2)
     g = MultiPoly.variable(dom, names, "x[0][1]") * MultiPoly.variable(dom, names, "x[1][2]")
     specs.append(("small custom box", box_make(field, 2, 2, {(2, 1): g}), 3))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .bounds import DEFAULT_READING, READING_ALL, READING_ANY, bound_report
 from .box import closeness_check
@@ -90,7 +91,7 @@ def cmd_paper_examples(args):
         count = count_zeros(inst)
         close, _ = closeness_check(inst.box, max(inst.moduli))
         print(f"{name}.cardinality={count.cardinality}")
-        print(f"{name}.ord_p={count.ord_p if count.cardinality else 'inf'}")
+        print(f"{name}.ord_p={count.ord_p}")
         print(f"{name}.closeness={'true' if close else 'false'}")
         if (count.cardinality != cardinality or close != close_expected
                 or (ord_expected is not None and count.ord_p != ord_expected)):
@@ -115,7 +116,9 @@ def cmd_selftest(args):
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use and reused for every later call."""
     parser = argparse.ArgumentParser(
         prog="wittbox",
         description="Truncated Witt-ring arithmetic, box enumeration, exact "

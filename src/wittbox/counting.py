@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .box import BoxSpec
@@ -98,12 +97,6 @@ class CountReport:
             c //= self.p
             v += 1
         return v
-
-    @property
-    def ord_q(self):
-        if self.cardinality == 0:
-            return math.inf
-        return Fraction(self.ord_p, self.h)
 
 
 def evaluate_point(inst: ProblemInstance, pt):
@@ -387,8 +380,8 @@ def count_zeros(inst: ProblemInstance, budget: int = DEFAULT_BUDGET,
 
     The budget applies to all q^{nm} base points, however few the kernel
     enumerates.  The points it enumerates last are split into `partitions`
-    contiguous ranges counted independently; results are identical for any
-    partition count.
+    contiguous ranges counted independently, and never into more ranges than
+    points; results are identical for any partition count.
     """
     total = inst.box.base_size()
     if total > budget:
@@ -396,6 +389,8 @@ def count_zeros(inst: ProblemInstance, budget: int = DEFAULT_BUDGET,
     if partitions < 1:
         raise ValidationError("partitions must be >= 1")
     kernel = _Kernel(inst)
-    bounds = [kernel.size * k // partitions for k in range(partitions + 1)]
-    zeros = sum(kernel.count(start, stop) for start, stop in zip(bounds, bounds[1:]))
+    size = kernel.size
+    partitions = min(partitions, size)
+    zeros = sum(kernel.count(size * k // partitions, size * (k + 1) // partitions)
+                for k in range(partitions))
     return CountReport(cardinality=kernel.factor * zeros, p=inst.field.p, h=inst.field.h)

@@ -28,12 +28,6 @@ class ConfigError(ValidationError):
     kind = "config"
 
 
-class DomainError(WittboxError):
-    """Mathematically undefined operation, e.g. inverting zero."""
-
-    kind = "domain"
-
-
 class ExactDivisionError(WittboxError):
     """A division that must be exact was not.
 

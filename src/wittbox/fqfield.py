@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError, DomainError, ValidationError
+from .errors import ConfigError, ValidationError
 
 # Built-in irreducible moduli for the extension sizes used at desk scale.
 # Users may override any of these by passing an explicit modulus.
@@ -225,7 +225,7 @@ class GRElem:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValidationError("negative power of a ring element")
         result = gr_one(self.params)
         base = self
         while e:
@@ -239,12 +239,6 @@ class GRElem:
         if self.params.precision > 1:
             raise ValidationError(f"{operation} is defined on F_q only, not at precision "
                                   f"{self.params.precision}")
-
-    def inverse(self):
-        self._require_field("inversion")
-        if self.is_zero():
-            raise DomainError("inversion of zero in F_q")
-        return self ** (self.params.field.q - 2)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -1,5 +1,5 @@
 """The Galois ring GR(p^M, h) = (Z/p^M)[t]/(phi), Teichmuller lifting, the
-digit codec, p-adic valuation, and Witt-coordinate digit arithmetic.
+digit codec, and Witt-coordinate digit arithmetic.
 
 Two arithmetic paths coexist on purpose: direct polynomial arithmetic in GR
 and the Witt-digit path through S/M coordinates with the Frobenius twist.
@@ -8,16 +8,11 @@ Each validates the other; the cross-check is a permanent test.
 
 from __future__ import annotations
 
-import math
-
 from .errors import ConfigError, ValidationError
-# GRParams, GRElem and the index codec live in fqfield, which needs them for
-# F_q; they are re-exported here as the Galois-ring API.
-from .fqfield import GRElem, GRParams, gr_enumerate, gr_one, gr_zero
+# GRParams and GRElem live in fqfield, which needs them for F_q.
+from .fqfield import GRElem, GRParams, gr_zero
 from .witt import witt_op_polys, witt_var
 from .poly import FieldDomain
-
-INF = math.inf
 
 
 def int_to_gr(c: int, params: GRParams) -> GRElem:
@@ -99,19 +94,3 @@ def witt_digit_op(a, b, kind: str, params: GRParams):
         value = poly.evaluate(assignment, coerce=dom.coerce)
         out.append(value.frobenius_inverse(i))
     return tuple(out)
-
-
-def ord_p(y: GRElem):
-    """Largest e < M with p^e dividing y; +inf for y = 0 (>= M at this precision)."""
-    if y.is_zero():
-        return INF
-    p = y.params.p
-    best = y.params.precision
-    for c in y.coeffs:
-        if c:
-            v = 0
-            while c % p == 0:
-                c //= p
-                v += 1
-            best = min(best, v)
-    return best

@@ -152,8 +152,6 @@ class MultiPoly:
         for exps, c in other.terms.items():
             if exps in terms:
                 s = terms[exps] + c
-                if isinstance(s, int):
-                    s = dom.coerce(s)
                 if dom.is_zero(s):
                     del terms[exps]
                 else:
@@ -378,7 +376,6 @@ def _packed_mul(dom, a, b):
                 acc[k] = c1 * c2
     out = []
     for k, c in acc.items():
-        c = dom.coerce(c) if isinstance(c, int) else c
         if not dom.is_zero(c):
             out.append((k, c))
     return out

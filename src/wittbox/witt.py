@@ -43,16 +43,13 @@ def witt_var(n: int, r: int, i: int, j: int) -> str:
     return f"x{i}{j}"
 
 
-def witt_poly(k: int, p: int) -> MultiPoly:
-    """The k-th Witt polynomial w_k = sum_{i<=k} p^i X_i^{p^(k-i)}."""
-    if k < 0:
-        raise ValidationError("witt_poly index must be >= 0")
-    names = tuple(f"X{i}" for i in range(k + 1))
-    terms = {}
-    for i in range(k + 1):
-        exps = tuple(p ** (k - i) if t == i else 0 for t in range(k + 1))
-        terms[exps] = p ** i
-    return MultiPoly(ZZ, names, terms)
+def _witt_sum(p: int, k: int, xs, names) -> MultiPoly:
+    """sum_i p^i xs[i]^(p^(k-i)): the Witt polynomial w_k at xs[0..k], or the
+    first len(xs) of its terms."""
+    total = MultiPoly.zero(ZZ, names)
+    for i, x in enumerate(xs):
+        total = total + x ** (p ** (k - i)) * (p ** i)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -65,24 +62,16 @@ def witt_op_polys(p: int, n: int, r: int, kind: str):
     names = witt_variable_names(n, r)
     polys = []
     for k in range(n + 1):
-        g = _ghost_combination(p, k, n, r, kind, names)
-        for i in range(k):
-            g = g - polys[i] ** (p ** (k - i)) * (p ** i)
+        g = _ghost_combination(p, k, n, r, kind, names) - _witt_sum(p, k, polys[:k], names)
         polys.append(g.exact_div_int(p ** k))
     return tuple(polys)
 
 
-def _ghost_at(p, k, j, n, r, names):
-    poly = MultiPoly.zero(ZZ, names)
-    for i in range(k + 1):
-        v = MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
-        poly = poly + v ** (p ** (k - i)) * (p ** i)
-    return poly
-
-
 def _ghost_combination(p, k, n, r, kind, names):
     """G_k: the sum (resp. product) of the k-th ghost components of the r arguments."""
-    ghosts = [_ghost_at(p, k, j, n, r, names) for j in range(1, r + 1)]
+    ghosts = [_witt_sum(p, k, [MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
+                               for i in range(k + 1)], names)
+              for j in range(1, r + 1)]
     if kind == SUM:
         g = MultiPoly.zero(ZZ, names)
         for gh in ghosts:
@@ -110,10 +99,7 @@ def ghost_identity_holds(p: int, n: int, r: int, kind: str, polys) -> bool:
     """Whether w_k(P_0..P_k) equals the sum/product of ghost components for all k <= n."""
     names = witt_variable_names(n, r)
     for k in range(n + 1):
-        lhs = MultiPoly.zero(ZZ, names)
-        for i in range(k + 1):
-            lhs = lhs + polys[i] ** (p ** (k - i)) * (p ** i)
-        if lhs != _ghost_combination(p, k, n, r, kind, names):
+        if _witt_sum(p, k, polys[:k + 1], names) != _ghost_combination(p, k, n, r, kind, names):
             return False
     return True
 

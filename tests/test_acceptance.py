@@ -81,7 +81,7 @@ def test_04_symbolic_golden():
         assert S[1] == MultiPoly(ZZ, names, s1_terms)
         assert M[0] == MultiPoly(ZZ, names, {(1, 1, 0, 0): 1})
         assert M[1] == MultiPoly(ZZ, names, {(p, 0, 0, 1): 1, (0, p, 1, 0): 1, (0, 0, 1, 1): p})
-    results = ghost_suite(max_k=3)
+    results = ghost_suite()
     assert all(ok for _, ok in results), [name for name, ok in results if not ok]
     _passed(4, "closed forms p=2,3,5 + ghost identities + negative control")
 
@@ -99,13 +99,13 @@ def test_06_arithmetic_crosscheck():
 
 
 def test_07_vanishing_equivalence():
-    results = vanishing_suite(max_m=3, max_r=3)
+    results = vanishing_suite()
     assert all(ok for _, ok in results), [name for name, ok in results if not ok]
     _passed(7, "three-way vanishing equivalence, q=2, m<=3, r<=3")
 
 
 def test_08_stacking_law():
-    results = stacking_suite(cases=50)
+    results = stacking_suite()
     assert all(ok for _, ok in results), [name for name, ok in results if not ok]
     _passed(8, "stacking law, 50 random cases, zero violations")
 

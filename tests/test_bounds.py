@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittbox import bounds
 from wittbox.bounds import (
     DEFAULT_READING,
     READING_ALL,
@@ -111,7 +112,7 @@ def test_improved_bound():
     assert bound_report(inst).entry("improved").notes.endswith("; d=1")
 
 
-def test_minimal_d_oracles():
+def test_minimal_d_oracles(monkeypatch):
     # f = x1^2 mod p over T_1: the only term is degree 2 with slots below m,
     # so d = 2.
     names = system_variable_names(1)
@@ -121,8 +122,9 @@ def test_minimal_d_oracles():
     # worked instance: d = 1 despite deg f = 1 and modulus 3
     inst41 = parse_instance(EXAMPLE_41)
     assert minimal_d(inst41, 0) == 1
+    monkeypatch.setattr(bounds, "D_BUDGET", 2)
     with pytest.raises(BudgetError):
-        minimal_d(inst41, 0, budget=2)
+        minimal_d(inst41, 0)
 
 
 def test_minimal_d_sees_generator_degrees():

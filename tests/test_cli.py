@@ -1,5 +1,6 @@
 import pytest
 
+from wittbox import cli
 from wittbox.cli import EXIT_ASSERTION, EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from wittbox.fixtures import EXAMPLE_41, EXAMPLE_43
 
@@ -38,6 +39,34 @@ def test_count_stable_across_partitions(capsys, example41):
     for parts in ("2", "7", "32"):
         _, out = run(capsys, "count", example41, "--partitions", parts)
         assert out == baseline
+
+
+def test_huge_partition_count_does_no_extra_work(example41):
+    # one range per partition used to be built and counted, however few the
+    # points; a subprocess with a timeout keeps a regression from hanging here
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    outs = []
+    for parts in ("1", str(10 ** 12)):
+        proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", example41,
+                               "--partitions", parts],
+                              env=env, capture_output=True, text=True, timeout=30)
+        outs.append((proc.returncode, proc.stdout))
+    assert outs[0] == outs[1] == (EXIT_OK, "cardinality=30\nord_p=1\nord_q=1/1\n")
+
+
+def test_parser_is_built_once(capsys, example41):
+    cli.build_parser.cache_clear()
+    first = run(capsys, "count", example41)
+    second = run(capsys, "count", example41)
+    assert first == second
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_verify_pass(capsys, example41):

@@ -88,7 +88,7 @@ def components_instance(rng, field, max_nm, flavour):
 
     Every f_k has a constant term and, per group, monomials in that group's
     columns only; moduli are drawn per f_k.  Generators read their own
-    column (flavour 0 builds the box with split=True), except that flavour 1
+    column, except that flavour 1
     adds a generator below M' that reads another group, the only link
     between the two, and flavour 2 leaves the last column unread by every
     f_k and adds a generator at level max(m, M'), which reads other columns
@@ -126,7 +126,7 @@ def components_instance(rng, field, max_nm, flavour):
                               + MultiPoly.variable(FieldDomain(field), digits, f"x[0][{other}]"))
     elif flavour == 2:
         generators[(max(m, top), 1)] = random_generator(rng, field, digits)
-    return make_instance(box_make(field, n, m, generators, split=flavour == 0), system)
+    return make_instance(box_make(field, n, m, generators), system)
 
 
 def corpus(p, h, kind):

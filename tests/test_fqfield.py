@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from wittbox.errors import DomainError, ValidationError
+from wittbox.errors import ValidationError
 from wittbox.fqfield import field_params, fq, fq_enumerate, fq_one, fq_zero
 
 F2 = field_params(2)
@@ -38,12 +38,11 @@ def test_f4_multiplication():
     assert t * t == fq(F4, [1, 1])  # t^2 = t + 1 mod t^2+t+1
 
 
-def test_f3_inverse():
-    two = fq(F3, [2])
-    assert two.inverse() == two  # 2*2 = 4 = 1
-
-    with pytest.raises(DomainError):
-        fq_zero(F3).inverse()
+def test_negative_power_refused():
+    # A negative exponent must be refused, not spin in square-and-multiply.
+    for a in (fq(F3, [2]), fq_zero(F3), fq(F4, [0, 1])):
+        with pytest.raises(ValidationError):
+            a ** -1
 
 
 def test_additive_identity():

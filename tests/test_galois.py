@@ -1,18 +1,13 @@
-import math
-
 import pytest
 
 from wittbox.errors import ConfigError, ValidationError
-from wittbox.fqfield import field_params, fq, fq_enumerate
+from wittbox.fqfield import field_params, fq, fq_enumerate, gr_enumerate, gr_one
 from wittbox.galois import (
     GRElem,
     GRParams,
     from_digits,
-    gr_enumerate,
-    gr_one,
     gr_zero,
     int_to_gr,
-    ord_p,
     reduce_precision,
     teichmuller_lift,
     to_digits,
@@ -107,14 +102,6 @@ def test_witt_digit_op_shape_checks():
         witt_digit_op(da[:2], da[:2], SUM, Z8)
 
 
-def test_ord_p():
-    assert ord_p(int_to_gr(6, Z8)) == 1
-    assert ord_p(int_to_gr(4, Z8)) == 2
-    assert ord_p(int_to_gr(1, Z8)) == 0
-    assert ord_p(gr_zero(Z8)) == math.inf
-    assert ord_p(GRElem(GR4_2, (2, 2))) == 1
-
-
 def test_enumerate():
     elems = gr_enumerate(Z9)
     assert len(elems) == 9
@@ -136,6 +123,6 @@ def test_fq_is_gr_at_precision_1():
 def test_field_operations_refuse_precision_above_1():
     for params in (Z8, GR4_2):
         y = gr_one(params)
-        for operation in (y.inverse, y.frobenius, y.frobenius_inverse, lambda: y ** -1):
+        for operation in (y.frobenius, y.frobenius_inverse, lambda: y ** -1):
             with pytest.raises(ValidationError):
                 operation()

@@ -8,6 +8,7 @@ violated closeness hypothesis, and the minimal-d budget refusal.
 
 import pytest
 
+from wittbox import bounds
 from wittbox.bounds import bound_report
 from wittbox.cli import _emit_bounds, main
 from wittbox.fixtures import EXAMPLE_41, EXAMPLE_42, EXAMPLE_43
@@ -402,6 +403,7 @@ def test_cli_report(key, tmp_path, capsys):
     assert (code, capsys.readouterr().out) == EXPECTED[key]
 
 
-def test_minimal_d_budget_exceeded(capsys):
-    _emit_bounds(bound_report(parse_instance(EXAMPLE_41), d_budget=2))
+def test_minimal_d_budget_exceeded(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "D_BUDGET", 2)
+    _emit_bounds(bound_report(parse_instance(EXAMPLE_41)))
     assert capsys.readouterr().out == BUDGET_EXCEEDED

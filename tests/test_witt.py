@@ -7,23 +7,28 @@ from wittbox.poly import MultiPoly, ZZ
 from wittbox.witt import (
     PRODUCT,
     SUM,
+    _witt_sum,
     ghost_check,
     ghost_identity_holds,
     twisted_digit_polys,
     witt_op_polys,
-    witt_poly,
     witt_var,
     witt_variable_names,
 )
 
 
 def test_witt_poly_small():
-    w0 = witt_poly(0, 2)
-    assert w0.terms == {(1,): 1}
-    w2 = witt_poly(2, 2)  # X0^4 + 2 X1^2 + 4 X2
-    assert w2.terms == {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 4}
-    with pytest.raises(ValidationError):
-        witt_poly(-1, 2)
+    def w(k):
+        names = tuple(f"X{i}" for i in range(k + 1))
+        xs = [MultiPoly.variable(ZZ, names, name) for name in names]
+        return _witt_sum(2, k, xs, names)
+
+    assert w(0).terms == {(1,): 1}
+    assert w(2).terms == {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 4}  # X0^4 + 2 X1^2 + 4 X2
+    # a prefix of the variables gives the first terms of w_k only
+    names = ("X0", "X1", "X2")
+    xs = [MultiPoly.variable(ZZ, names, name) for name in names[:2]]
+    assert _witt_sum(2, 2, xs, names).terms == {(4, 0, 0): 1, (0, 2, 0): 2}
 
 
 def test_variable_names():
