@@ -14,6 +14,7 @@ from fractions import Fraction
 from .box import closeness_check
 from .counting import CountReport, ProblemInstance
 from .errors import BudgetError, ValidationError
+from .fqfield import power
 from .galois import GRParams, int_to_gr, to_digits
 
 READING_ALL = "all"  # degree case taken only when every degree exceeds 1
@@ -24,7 +25,7 @@ READING_ANY = "any"  # literal reading: some degree exceeds 1
 # literal "any" reading survives the same sweeps, so it is the default.
 DEFAULT_READING = READING_ANY
 
-D_BUDGET = 1 << 20  # (i, beta) pairs one minimal_d call may enumerate
+D_BUDGET = 1 << 20  # (i, beta) pairs one minimal_d call may charge
 
 
 def ceil_star(t) -> int:
@@ -73,58 +74,61 @@ def stacked_bound(n: int, s: int, m: int, m1: int, degs,
     return base + n * (m - m1)
 
 
-def _compositions(total: int, parts: int):
-    """All ordered tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _maxplus(u, v):
+    """(u (x) v)[t] = max over s <= t of u[s] + v[t-s], skipping dead (None)
+    entries; truncated to len(u) entries, which v must have too."""
+    out = [None] * len(u)
+    for s, a in enumerate(u):
+        if a is not None:
+            for t, b in enumerate(v[:len(u) - s], start=s):
+                if b is not None and (out[t] is None or a + b > out[t]):
+                    out[t] = a + b
+    return out
+
+
+def _profile(spec, l: int, width: int):
+    """Degree of a slot of variable l at each digit level b < width: 1 below
+    m, deg g[b][l] above, dead (None) where g[b][l] is zero or missing."""
+    gens = [spec.generators.get((b, l)) for b in range(width)]
+    return [1 if b < spec.m else None if g is None or g.is_zero() else g.total_degree()
+            for b, g in enumerate(gens)]
 
 
 def minimal_d(inst: ProblemInstance, k: int) -> int:
     """Least d >= 1 for which every surviving expansion term of f_k satisfies the
     per-term degree condition deg(a * prod g) <= d * p^(h*floor((i+|beta|)/h)).
 
-    Enumerates the coefficient digit index i and all slot vectors beta with
-    i + |beta| <= m_k - 1.  Slots pointing below m contribute degree-1
-    variables; slots pointing at a zero generator kill their whole term.
+    Terms run over the coefficient digit i and the slot vectors beta (one
+    slot per unit of exponent) with i + |beta| < m_k.  The level depends on
+    (i, |beta|) alone, so only the largest degree at each |beta| = t counts:
+    the max-plus product of the slot profiles, each to its variable's power.
+    The budget is charged first: C(t + S - 1, t) slot vectors per (i, t).
     """
     f, mk = inst.system[k]
     spec = inst.box
-    field = spec.field
-    p, h, m, n = field.p, field.h, spec.m, spec.n
-    params = GRParams(field, mk)
+    p, h = spec.field.p, spec.field.h
+    params = GRParams(spec.field, mk)
     need = 1
     work = 0
     for exps, coeff in f.terms.items():
-        digits = to_digits(int_to_gr(coeff, params))
-        slots = [l for l, e in enumerate(exps, start=1) for _ in range(e)]
-        for i in range(mk):
-            if digits[i].is_zero():
-                continue
-            for total in range(mk - i):
-                for beta in _compositions(total, len(slots)):
-                    work += 1
-                    if work > D_BUDGET:
-                        raise BudgetError("minimal-d enumeration budget exceeded")
-                    deg = 0
-                    dead = False
-                    for b, l in zip(beta, slots):
-                        if b < m:
-                            deg += 1
-                        else:
-                            g = spec.generators.get((b, l))
-                            if g is None or g.is_zero():
-                                dead = True
-                                break
-                            deg += g.total_degree()
-                    if dead:
-                        continue
-                    level = p ** (h * ((i + total) // h))
-                    need = max(need, -(-deg // level))
+        live = [i for i, a in enumerate(to_digits(int_to_gr(coeff, params))) if not a.is_zero()]
+        total = sum(exps)
+        for i in live:
+            for t in range(mk - i):
+                work += math.comb(t + total - 1, t) if total else t == 0
+                if work > D_BUDGET:
+                    raise BudgetError("minimal-d enumeration budget exceeded")
+        if not live:
+            continue
+        width = mk - live[0]  # totals t < width are the only ones any live i reaches
+        top = [0] + [None] * (width - 1)
+        for l, e in enumerate(exps, start=1):
+            if e:
+                top = _maxplus(top, power(_profile(spec, l, width), e, _maxplus))
+        for i in live:
+            for t in range(mk - i):
+                if top[t] is not None:
+                    need = max(need, -(-top[t] // p ** (h * ((i + t) // h))))
     return need
 
 

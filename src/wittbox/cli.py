@@ -176,7 +176,7 @@ def main(argv=None) -> int:
         print(f"error.kind={exc.kind}")
         print(f"error.message={exc}")
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error.kind=io")
         print(f"error.message={exc}")
         return EXIT_VALIDATION

@@ -23,7 +23,7 @@ from functools import partial
 
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError
-from .fqfield import fq_enumerate, polymul_mod
+from .fqfield import fq_enumerate, polymul_mod, power
 from .galois import GRParams, from_digits, int_to_gr, reduce_precision, teichmuller_lift
 from .poly import IntegerDomain, MultiPoly
 
@@ -162,23 +162,11 @@ def _evaluate(compiled, powers, mul, add, zero):
     return acc
 
 
-def _power(value, e, mul):
-    """value^e for e >= 1 by square-and-multiply."""
-    result = None
-    while True:
-        if e & 1:
-            result = value if result is None else mul(result, value)
-        e >>= 1
-        if not e:
-            return result
-        value = mul(value, value)
-
-
 def _power_table(value, exponents, mul):
     """{e: value^e} for ascending positive exponents, each from the one before."""
     table, last, acc = {}, 0, None
     for e in exponents:
-        step = _power(value, e - last, mul)
+        step = power(value, e - last, mul)
         acc = step if acc is None else mul(acc, step)
         table[e] = acc
         last = e

@@ -84,6 +84,19 @@ def polymul_mod(modulus, mod, a, b):
     return tuple([c % mod for c in prod_[:h]])
 
 
+def power(value, e, mul):
+    """value^e for e >= 1 by square-and-multiply under the product `mul`; ring
+    elements, packed polynomials, kernel ints and degree profiles all use it."""
+    result = None
+    while True:
+        if e & 1:
+            result = value if result is None else mul(result, value)
+        e >>= 1
+        if not e:
+            return result
+        value = mul(value, value)
+
+
 def _polyrem(a, b, p):
     """a mod b over F_p, for b with a nonzero leading coefficient."""
     rem = [x % p for x in a]
@@ -226,14 +239,9 @@ class GRElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValidationError("negative power of a ring element")
-        result = gr_one(self.params)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return gr_one(self.params)
+        return power(self, e, GRElem.__mul__)
 
     def _require_field(self, operation):
         if self.params.precision > 1:

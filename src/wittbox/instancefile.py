@@ -39,6 +39,9 @@ from .poly import FieldDomain, MultiPoly, ZZ
 # exponent: on a 2-vCPU VM, (7*x1 + 5)^1023 (1024 terms) expands in about
 # 2 s and (x1 + 1)^4095 (4096 terms) in about 27 s.
 MAX_POWER_TERMS = 1 << 10
+# A [problem] with more free digit variables x[i][j] than this is refused
+# before their names are built: n*m = 2^22 names take about 6 s and 0.6 GB.
+MAX_DIGIT_VARIABLES = 1 << 20
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
@@ -282,6 +285,9 @@ def parse_instance(text: str) -> ProblemInstance:
     m = _int_value(problem["m"], "m")
     if n < 1 or m < 1:
         raise ParseError("n and m must be positive")
+    if n * m > MAX_DIGIT_VARIABLES:
+        line = problem["n" if n >= m else "m"][0]
+        raise BudgetError(f"line {line}: n*m = {n * m} digit variables exceed {MAX_DIGIT_VARIABLES}")
 
     sys_names = system_variable_names(n)
     system = []

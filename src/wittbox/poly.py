@@ -8,11 +8,12 @@ golden tests depend on that exact rendering.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from operator import lshift
 
 from .errors import ConfigError, ExactDivisionError, ValidationError
-from .fqfield import FieldParams, GRElem, fq, fq_one, fq_zero
+from .fqfield import FieldParams, GRElem, fq, fq_one, fq_zero, power
 
 
 # The coefficient domains are plain immutable-by-convention classes: a
@@ -189,16 +190,9 @@ class MultiPoly:
             raise ValidationError("negative polynomial power")
         if e == 0:
             return MultiPoly.constant(self.domain, self.variables, self.domain.one)
-        dom = self.domain
         slots = _slots(len(self.variables), _top(self.terms) * e)
-        base = _pack(self.terms, slots)
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else _packed_mul(dom, result, base)
-            base = _packed_mul(dom, base, base) if e > 1 else base
-            e >>= 1
-        return self._unpacked(result, slots)
+        product = power(_pack(self.terms, slots), e, partial(_packed_mul, self.domain))
+        return self._unpacked(product, slots)
 
     def _unpacked(self, packed, slots):
         """A polynomial in this context from packed (key, coefficient) pairs."""

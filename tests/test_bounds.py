@@ -18,13 +18,14 @@ from wittbox.bounds import (
     minimal_d,
     stacked_bound,
 )
-from wittbox.box import teichmuller_box
+from wittbox.box import BoxSpec, box_variable_names, teichmuller_box
 from wittbox.counting import count_zeros, make_instance, system_variable_names
 from wittbox.errors import BudgetError, ValidationError
 from wittbox.fixtures import EXAMPLE_41
-from wittbox.fqfield import field_params
+from wittbox.fqfield import field_params, fq
+from wittbox.galois import GRParams, int_to_gr, to_digits
 from wittbox.instancefile import parse_instance
-from wittbox.poly import MultiPoly, ZZ
+from wittbox.poly import FieldDomain, MultiPoly, ZZ
 
 F2 = field_params(2)
 
@@ -134,6 +135,110 @@ def test_minimal_d_sees_generator_degrees():
     inst41 = parse_instance(EXAMPLE_41)
     g = inst41.box.generators[(2, 1)]
     assert g.total_degree() == 4
+
+
+def test_slot_profile_marks_dead_levels():
+    # A zero or missing generator kills its slot.  minimal_d cannot tell that
+    # from a slot of degree 0: moving the slot to level 0 gives degree 1 at a
+    # lower level, which never lowers d.  So the profile is pinned here.
+    inst41 = parse_instance(EXAMPLE_41)
+    assert bounds._profile(inst41.box, 1, 4) == [1, 1, 4, None]
+    assert bounds._profile(inst41.box, 2, 4) == [1, 1, None, None]
+    zero = MultiPoly.zero(FieldDomain(F2), box_variable_names(1, 1))
+    assert bounds._profile(BoxSpec(F2, 1, 1, {(1, 1): zero}), 1, 3) == [1, None, None]
+
+
+def _compositions(total, parts):
+    """All ordered tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumerated_minimal_d(inst, k):
+    """minimal_d by listing every slot vector beta, one slot per unit of
+    exponent, each charged to `bounds.D_BUDGET`: the oracle for the max-plus
+    search."""
+    f, mk = inst.system[k]
+    spec = inst.box
+    p, h, m = spec.field.p, spec.field.h, spec.m
+    params = GRParams(spec.field, mk)
+    need, work = 1, 0
+    for exps, coeff in f.terms.items():
+        digits = to_digits(int_to_gr(coeff, params))
+        slots = [l for l, e in enumerate(exps, start=1) for _ in range(e)]
+        for i in range(mk):
+            if digits[i].is_zero():
+                continue
+            for total in range(mk - i):
+                for beta in _compositions(total, len(slots)):
+                    work += 1
+                    if work > bounds.D_BUDGET:
+                        raise BudgetError("minimal-d enumeration budget exceeded")
+                    deg = 0
+                    for b, l in zip(beta, slots):
+                        g = spec.generators.get((b, l))
+                        if b < m:
+                            deg += 1
+                        elif g is None or g.is_zero():
+                            break
+                        else:
+                            deg += g.total_degree()
+                    else:
+                        level = p ** (h * ((i + total) // h))
+                        need = max(need, -(-deg // level))
+    return need
+
+
+def random_minimal_d_instance(rng):
+    """A seeded instance for the minimal_d oracle: p in {2, 3, 5}, h in {1, 2},
+    generators absent, zero or of random degree, constant terms, and
+    coefficients divisible by powers of p so that some digits vanish."""
+    field = field_params(rng.choice((2, 3, 5)), rng.choice((1, 2)))
+    n, m, mk = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
+    names = box_variable_names(n, m)
+    dom = FieldDomain(field)
+    generators = {}
+    for b in range(m, mk):
+        for l in range(1, n + 1):
+            kind = rng.random()
+            if kind < 0.3:
+                continue
+            terms = {} if kind < 0.45 else {
+                tuple(rng.randrange(field.q) if rng.random() < 0.4 else 0 for _ in names):
+                fq(field, [rng.randrange(1, field.p)]) for _ in range(rng.randint(1, 3))}
+            generators[(b, l)] = MultiPoly(dom, names, terms)
+    terms = {tuple(rng.randint(0, 3) if rng.random() < 0.6 else 0 for _ in range(n)):
+             rng.randint(1, 30) * field.p ** rng.choice((0, 0, 1, 2, mk))
+             for _ in range(rng.randint(1, 4))}
+    terms[(1,) + (0,) * (n - 1)] = rng.randint(1, 30)  # nonconstant
+    f = MultiPoly(ZZ, system_variable_names(n), terms)
+    return make_instance(BoxSpec(field, n, m, generators), [(f, mk)])
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 40, 2])
+def test_minimal_d_matches_enumeration(monkeypatch, budget):
+    monkeypatch.setattr(bounds, "D_BUDGET", budget)
+    rng = random.Random(f"minimal-d-{budget}")
+
+    def outcome(search, inst):
+        try:
+            return search(inst, 0)
+        except BudgetError:
+            return "budget"
+
+    seen = set()
+    for _ in range(500):
+        inst = random_minimal_d_instance(rng)
+        expected = outcome(enumerated_minimal_d, inst)
+        assert outcome(minimal_d, inst) == expected, inst
+        seen.add(expected)
+    assert ("budget" in seen) == (budget < 1 << 20)
+    assert max(d for d in seen if d != "budget") >= 3
 
 
 def test_bound_report_example41():

@@ -104,6 +104,15 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert "error.kind=io\n" in out
 
 
+def test_non_utf8_file_is_an_io_error(capsys, tmp_path):
+    path = tmp_path / "utf16.ini"
+    path.write_bytes(b"\xff\xfe[\x00r\x00i\x00n\x00g\x00]\x00")
+    code, out = run(capsys, "count", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ("error.kind=io\nerror.message='utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
 def test_budget_exit_code(capsys, example41):
     code, out = run(capsys, "count", example41, "--budget", "10")
     assert code == EXIT_BUDGET
@@ -249,3 +258,60 @@ def test_long_product_is_refused_before_multiplying(tmp_path, capsys):
     path.write_text(path.read_text().replace(" * ".join([factor] * 8), "(x1 + 1)^9 * (x2 + x3)^9"))
     code, out = run(capsys, "count", str(path))
     assert code == EXIT_OK
+
+
+_ONE_COLUMN = "[ring]\np = 2\n[problem]\nn = 1\nm = 1\n[system]\n"
+_WIDE_BOX = "".join(f"g[{b}][{l}] = x[0][{l}]\n" for b in range(1, 6) for l in (1, 2, 3))
+_BUDGET_NOTE = "note.improved=minimal-d enumeration budget exceeded\n"
+_D_NOTE = "note.improved=per-term degree condition satisfied by construction; d="
+
+# name: (file contents, exit code of bound and verify, the line expected on stdout)
+HOSTILE_INPUTS = {
+    # minimal_d enumerated every slot vector: 55 s, a RecursionError, a
+    # 2^40-entry slot list, and 11 s to reach the budget note
+    "deep-generators": (_ONE_COLUMN + "f1 = x1^400 mod p^3\n[box]\n"
+                        "g[1][1] = x[0][1]\ng[2][1] = x[0][1]\n", EXIT_OK, _D_NOTE + "400\n"),
+    "high-power": (_ONE_COLUMN + "f1 = x1^2000 mod p^2\n", EXIT_OK, _D_NOTE + "2000\n"),
+    "huge-power": (_ONE_COLUMN + f"f1 = x1^{2 ** 40} mod p^2\n", EXIT_OK, _BUDGET_NOTE),
+    "wide-box": ("[ring]\np = 2\n[problem]\nn = 3\nm = 1\n[system]\n"
+                 "f1 = x1^6*x2^6*x3^6 + x1 mod p^12\n[box]\n" + _WIDE_BOX
+                 + "g[6][1] = x[0][1]*x[0][2]\n", EXIT_OK, _BUDGET_NOTE),
+    # only the top coefficient digit is live, so only the total t = 0 counts;
+    # 299 generator levels made the profiles dense, and squaring them 3000
+    # times at full width took tens of seconds
+    "low-digit": (_ONE_COLUMN + f"f1 = 2^299*x1^{2 ** 3000} mod p^300\n[box]\n"
+                  + "".join(f"g[{b}][1] = x[0][1]\n" for b in range(1, 300)),
+                  EXIT_OK, _D_NOTE + f"{2 ** 2701}\n"),
+    "non-utf8": ("\xff\xfe[ring]\n", EXIT_VALIDATION, "error.kind=io\n"),
+    "oversized-problem": (_ONE_COLUMN.replace("n = 1", "n = 99999999999999999999")
+                          + "f1 = x1 mod p^1\n", EXIT_BUDGET, "error.kind=budget\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+def test_hostile_input_fails_fast(tmp_path, name, command):
+    # each run gets 10 s and a 1.5 GB address space, capped in the child only
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    text, code, line = HOSTILE_INPUTS[name]
+    path = tmp_path / f"{name}.ini"
+    path.write_bytes(text.encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", command, str(path)],
+                          env=env, capture_output=True, text=True, timeout=10,
+                          preexec_fn=cap_memory)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    assert line in proc.stdout
+    if command == "verify" and code == EXIT_OK:
+        assert proc.stdout.endswith("status=PASS\n")

@@ -171,3 +171,15 @@ def test_product_term_bound_is_an_upper_bound_and_refuses_early():
     assert len(f.terms) == 32 * 32 == MAX_POWER_TERMS
     with pytest.raises(BudgetError):
         parse_poly("(x1 + 1)^31 * (x2 + 1)^32", ZZ, names)  # 32 * 33 terms
+
+
+def test_oversized_problem_is_refused_before_names_are_built():
+    from wittbox.errors import BudgetError
+    from wittbox.instancefile import MAX_DIGIT_VARIABLES
+
+    assert MAX_DIGIT_VARIABLES == 2 ** 20
+    for n, m, line in ((2 ** 20 + 1, 1, 5), (1, 2 ** 20 + 1, 6), (17, 61681, 6),
+                       (99999999999999999999, 1, 5)):
+        text = MINIMAL.replace("n = 2", f"n = {n}").replace("m = 1", f"m = {m}")
+        with pytest.raises(BudgetError, match=f"^line {line}: n\\*m = {n * m} digit variables"):
+            parse_instance(text)

@@ -1,6 +1,9 @@
 """Property tests: the ring axioms and the Teichmuller fixed point in
-GR(p^M, h), the digit-codec round trip, and the render/parse round trip of
-polynomials over Z and over F_q."""
+GR(p^M, h), powers as repeated products, the digit-codec round trip, and the
+render/parse round trip of polynomials over Z and over F_q."""
+
+from functools import reduce
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +59,13 @@ def test_teichmuller_lift_is_the_fixed_point(case):
 
 
 @PROPERTY
+@given(st.sampled_from(RINGS).flatmap(lambda params: elements(params, 1)), st.integers(0, 24))
+def test_ring_power_is_the_repeated_product(case, e):
+    (y,) = case
+    assert y ** e == reduce(mul, [y] * e, gr_one(y.params))
+
+
+@PROPERTY
 @given(st.sampled_from(RINGS).flatmap(lambda params: elements(params, 1)))
 def test_digit_round_trip(case):
     (y,) = case
@@ -96,3 +106,17 @@ def test_render_parse_round_trip_over_fq(case):
     dom = FieldDomain(field)
     f = MultiPoly(dom, names, terms)
     assert parse_poly(f.render(), dom, names, fq_params=field) == f
+
+
+F4 = field_params(2, 2)
+
+
+@PROPERTY
+@given(st.one_of(
+    polynomials(st.integers(-3, 3)).map(lambda case: (ZZ, *case)),
+    polynomials(st.sampled_from(fq_enumerate(F4))).map(lambda case: (FieldDomain(F4), *case))),
+    st.integers(0, 24))
+def test_poly_power_is_the_repeated_product(case, e):
+    dom, names, terms = case
+    f = MultiPoly(dom, names, dict(list(terms.items())[:3]))
+    assert f ** e == reduce(mul, [f] * e, MultiPoly.constant(dom, names, dom.one))
