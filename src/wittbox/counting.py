@@ -1,17 +1,17 @@
 """Exact zero counting for congruence systems over a box.
 
 `count_zeros` counts through a plain-integer kernel: per call it builds the
-Teichmuller lift table (q lifts, scaled by p^i for each digit level i) and
-compiles the box generators over F_q and each f_k over GR(p^{M'}, h) into
-term lists on ints, then walks base digits with an odometer.  The columns
-x_j fall into components that share no monomial and no generator, and each
-f_k is a sum of one part per component, so the count is the mass at zero
-of the convolved per-component residue histograms; an instance with one
-component has each point decided by evaluating every f_k directly.
-Nothing is sampled.  `evaluate_point` over `box_enumerate` is the
-object-level brute-force reference the kernel is tested against.  The
-symbolic Teichmuller expansion is deliberately not used, so the count stays
-an independent oracle for everything derived from it.
+Teichmuller lift table (q lifts, scaled by p^i for each digit level i),
+tabulates each column's value and powers over the free digits it depends
+on, and packs the residues of all f_k at a point into one int.  Columns are
+summed out one at a time into residue histograms (bucket elimination, in
+min-fill order) while that is cheaper than enumerating them, and the
+columns left are enumerated in rows, each point weighed by those
+histograms; a system whose columns split is the case of histograms that
+depend on no column.  Nothing is sampled.  `evaluate_point` over
+`box_enumerate` is the object-level brute-force reference the kernel is
+tested against.  The symbolic Teichmuller expansion is deliberately not
+used, so the count stays an independent oracle for everything derived from it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
+from itertools import combinations, product, repeat
 
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError
@@ -28,7 +29,10 @@ from .galois import GRParams, from_digits, int_to_gr, reduce_precision, teichmul
 from .poly import IntegerDomain, MultiPoly
 
 DEFAULT_BUDGET = 1 << 24
-HISTOGRAM_CAP = 1 << 16  # entries of a residue histogram, and pairs of one convolution
+HISTOGRAM_CAP = 1 << 16  # entries of a table or message, and pairs of one elimination
+# Points of the core read per row: enough to spread the cost of locating
+# each table's entries, few enough that the row's index lists stay small.
+ROW = 1 << 10
 
 
 def system_variable_names(n: int):
@@ -117,9 +121,8 @@ class _IntRing:
     """GR(p^precision, h) on plain ints; F_q is the case precision = 1.
 
     An element is an int when h = 1 and a tuple of h ints otherwise.
-    Products are reduced mod p^precision and sums are not, which neither a
-    further product nor a divisibility test minds; `reduce` gives the
-    canonical representative.
+    Products are reduced mod p^precision and sums are not; `reduce` gives
+    the canonical representative.
     """
 
     def __init__(self, field, precision):
@@ -128,14 +131,10 @@ class _IntRing:
             self.mul = lambda a, b: a * b % mod
             self.add = operator.add
             self.reduce = lambda v: v % mod
-            self.divisible = lambda v, pk: v % pk == 0
-            self.coeffs = lambda v: (v,)
         else:
             self.mul = partial(polymul_mod, field.modulus, mod)
             self.add = lambda a, b: tuple(map(operator.add, a, b))
             self.reduce = lambda v: tuple([c % mod for c in v])
-            self.divisible = lambda v, pk: not any(c % pk for c in v)
-            self.coeffs = tuple
         self.h = field.h
         self.zero = self.element((0,))
 
@@ -152,213 +151,345 @@ def _compile(poly, coerce):
             for exps, c in poly.terms.items()]
 
 
-def _evaluate(compiled, powers, mul, add, zero):
-    """A compiled polynomial at a point; powers[slot][e] is slot's value to the e."""
-    acc = zero
-    for v, factors in compiled:
-        for slot, e in factors:
-            v = mul(v, powers[slot][e])
-        acc = add(acc, v)
-    return acc
+def _points(lo, hi, count, base):
+    """The big-endian `count`-digit base-`base` tuples of the indices lo..hi-1."""
+    if (lo, hi) == (0, base ** count):
+        return list(product(range(base), repeat=count))
+    return [tuple(index // base ** k % base for k in range(count - 1, -1, -1))
+            for index in range(lo, hi)]
 
 
-def _power_table(value, exponents, mul):
-    """{e: value^e} for ascending positive exponents, each from the one before."""
-    table, last, acc = {}, 0, None
-    for e in exponents:
-        step = power(value, e - last, mul)
-        acc = step if acc is None else mul(acc, step)
-        table[e] = acc
-        last = e
-    return table
+def _strides(scope, over, Q):
+    """Per column of `over`, its weight in the big-endian index of `scope`'s
+    assignments (0 for a column outside `scope`); each column has Q values."""
+    return [Q ** (len(scope) - 1 - scope.index(c)) if c in scope else 0 for c in over]
 
 
-def _exponents(compiled_polys, slots):
-    """Per slot, the ascending exponents the compiled polynomials raise it to."""
-    used = [set() for _ in range(slots)]
-    for compiled in compiled_polys:
-        for _, factors in compiled:
-            for slot, e in factors:
-                used[slot].add(e)
-    return [sorted(es) for es in used]
+def _table(size, entries):
+    """A table read by index, from entries(lo, hi), its entries lo..hi-1: all
+    of it held up to HISTOGRAM_CAP entries, else computed by blocks of ROW
+    as they are read, the last two kept."""
+    if size <= HISTOGRAM_CAP:
+        return entries(0, size).__getitem__
+    block = lru_cache(2)(lambda b: entries(b * ROW, min(size, b * ROW + ROW)))
+    return lambda index: block(index // ROW)[index % ROW]
 
 
-def _components(n, links):
-    """Connected components of the columns 0..n-1; each list in `links` joins its columns."""
-    owner = [{j} for j in range(n)]
-    for cols in links:
-        merged = set().union(*(owner[j] for j in cols))
-        for j in merged:
-            owner[j] = merged
-    return list({id(c): c for c in owner}.values())
-
-
-def _convolve(acc, hist, mods):
-    """The histogram of sums of two independent residue vectors, entrywise mod `mods`."""
-    out = {}
-    for a, x in acc.items():
-        for b, y in hist.items():
-            key = tuple([(u + v) % md for u, v, md in zip(a, b, mods)])
-            out[key] = out.get(key, 0) + x * y
+def _product(hists, shift, reduce):
+    """The histogram of `shift` (reduced) plus one residue drawn from each
+    histogram independently: their product in the group ring."""
+    out = {shift: 1}
+    for hist in hists:
+        nxt = {}
+        for a, x in out.items():
+            for b, y in hist.items():
+                key = reduce(a + b)
+                nxt[key] = nxt.get(key, 0) + x * y
+        out = nxt
     return out
 
 
 class _Kernel:
-    """Tables and compiled polynomials of one `count_zeros` call.
+    """Column tables and an elimination plan for one `count_zeros` call.
 
     Every point is decided in GR(p^{M'}, h) with M' the largest modulus:
     digit levels i >= M' add p^i * tau(a), which vanishes there, so neither
     their free digits nor their generators are looked at, and free digits
-    there only multiply the count.
+    there only multiply the count.  A column then takes Q = q^live values.
 
-    Columns fall into components: a monomial of an f_k links the columns it
-    mixes, and a generator g[i][j] (i < M') links column j to the columns it
-    reads.  Each f_k is its constant term plus one part per component, so
-    the smallest components are enumerated alone and their residue
-    histograms convolved, starting from the constant terms, while the
-    histogram and each convolution stay within HISTOGRAM_CAP entries.  The
-    other components are enumerated together last, each point adding the
-    mass at minus its residue; if none was convolved, each point is decided
-    directly, stopping at the first f_k that fails.  A column no f_k reads
-    needs none of its generators, and a component of such columns only
-    multiplies the count.
+    The *reach* of column j is j plus the columns its generators below M'
+    read; the value of column j, a function of the free digits of its reach,
+    is tabulated with each power the system takes of it.  A residue vector
+    in prod_k GR(p^{m_k}, h) is one int with a `width`-bit slot per
+    coefficient, so vectors add as ints and the coefficients of a monomial
+    in every f_k are one multiplier.  The monomials whose columns' reaches
+    cover the same columns form one factor over that scope.
+
+    Columns are eliminated in min-fill order (bucket elimination, Dechter
+    1999): summing over a column the product of the factors and messages
+    that read it gives a message, a residue histogram per assignment of the
+    other columns they read; a product of histograms is their convolution.
+    A message that reads no column joins the accumulator, which the
+    constant terms seed.  Elimination stops before a message or its work
+    would pass HISTOGRAM_CAP, or would cost more than enumerating the
+    columns left, the core, in rows over its `inner` last columns.
     """
 
     def __init__(self, inst: ProblemInstance):
         box, field = inst.box, inst.field
-        p, n, m = field.p, box.n, box.m
+        p, q, n, m, h = field.p, field.q, box.n, box.m, field.h
         precision = inst.working_precision
         live = min(m, precision)  # free digit levels that reach a residue
-        self.q, self.n, self.nfree = field.q, n, n * live
+        self.n, self.live, self.Q = n, live, q ** live
         self.gr = gr = _IntRing(field, precision)
         self.fq = fq = _IntRing(field, 1)
         elements = fq_enumerate(field)  # digit code a <-> elements[a]
         params = GRParams(field, precision)
         taus = [teichmuller_lift(a, params).coeffs for a in elements]
-        lift = [[gr.element([p ** i * c for c in tau]) for tau in taus]
-                for i in range(precision)]
+        self.lift = [[gr.element([p ** i * c for c in tau]) for tau in taus]
+                     for i in range(precision)]
 
-        self.system = [(_compile(f, lambda c: gr.element((c,))), p ** mk)
-                       for f, mk in inst.system]
-        monomials = [[slot for slot, _ in factors]
-                     for f, _ in self.system for _, factors in f if factors]
-        read = {j for cols in monomials for j in cols}  # 0-based columns some f_k reads
+        # Each monomial once, with its coefficient in every f_k.
+        monomials, constants = {}, [0] * len(inst.system)
+        for k, (f, _) in enumerate(inst.system):
+            for c, factors in _compile(f, int):
+                if factors:
+                    monomials.setdefault(tuple(factors), [0] * len(constants))[k] = c
+                else:
+                    constants[k] = c
 
-        # Generators over F_q of the read columns, with their 0-based
-        # columns; their digit codes follow the free digits.  They exist
-        # only when M' > m = live.
-        levels = sorted((i, j) for i, j in box.generators if i < precision and j - 1 in read)
-        self.generators = [(j - 1, _compile(box.generators[(i, j)],
-                                            lambda c: fq.element(c.coeffs)))
-                           for i, j in levels]
-        exponents = sorted(set().union(*_exponents([g for _, g in self.generators], self.nfree)))
-        self.fq_powers = [_power_table(fq.element(a.coeffs), exponents, fq.mul)
-                          for a in elements]
+        # Slot s = k*h + r holds coefficient r of f_k; every sum a point adds
+        # up stays below half a slot, so slots never carry.
+        mods = [p ** mk for _, mk in inst.system for _ in range(h)]
+        width = ((2 * len(monomials) + 2) * h * p ** (3 * precision)).bit_length() + 1
+        shifts = range(0, width * len(mods), width)
+        slots, full = list(zip(shifts, mods)), (1 << width) - 1
+        self.space = math.prod(mods)  # |prod_k GR(p^{m_k}, h)|, a bound on any histogram
+        if p == 2:
+            mask = sum(pk - 1 << s for s, pk in slots)
+            self.reduce = lambda v: v & mask
+            self.is_zero = lambda v: not v & mask
+        else:
+            self.reduce = lambda v: sum((v >> s & full) % pk << s for s, pk in slots)
+            self.is_zero = lambda v: not (v & full) % mods[0] and not self.reduce(v)
+        self.pack = (lambda v: v) if h == 1 else (lambda v: sum(c << s for c, s in zip(v, shifts)))
+        self.basis = [gr.element([0] * r + [1]) for r in range(1, h)]  # t, ..., t^(h-1)
+        self.apply = ((lambda x, sums: x * sums[0]) if h == 1
+                      else (lambda x, sums: sum(map(operator.mul, x, sums))))
+
+        def scale(coeffs):
+            return sum(c % pk << s for c, pk, s in zip(coeffs, mods[::h], shifts[::h]))
+
+        # Generators over F_q below M' of the read columns, with their
+        # levels; they exist only when M' > m = live and read free digits only.
+        read = {j for mono in monomials for j, _ in mono}
+        self.generators = {}
+        for (i, j), g in sorted(box.generators.items()):
+            if i < precision and j - 1 in read:
+                self.generators.setdefault(j - 1, []).append(
+                    (i, _compile(g, lambda c: fq.element(c.coeffs))))
+        self.fq_powers = {e: [power(fq.element(a.coeffs), e, fq.mul) for a in elements]
+                          for gs in self.generators.values() for _, g in gs
+                          for _, factors in g for _, e in factors}
         self.fq_code = {fq.element(a.coeffs): code for code, a in enumerate(elements)}
+        self.reach = {j: tuple(sorted({j}.union(*(
+            {slot % n for _, factors in g for slot, _ in factors}
+            for _, g in self.generators.get(j, ()))))) for j in read}
+        self.columns, self.powers = {}, {}
 
-        # Column j is the sum of lift[i][code] over its digit levels i < M',
-        # raised to the exponents the system needs.
-        slot_of = {(i, j): i * n + j - 1 for i in range(live) for j in range(1, n + 1)}
-        slot_of.update((ij, self.nfree + k) for k, ij in enumerate(levels))
-        sources = [[(lift[i], slot_of[(i, j)]) for i in range(precision) if (i, j) in slot_of]
-                   for j in range(1, n + 1)]
-        self.columns = list(zip(sources, _exponents([f for f, _ in self.system], n)))
+        # The value the free digits of a column value v < Q give the column;
+        # past HISTOGRAM_CAP values, that of its high digits plus that of its
+        # low ones, each padded with zeros (tau(0) = 0).
+        def free(ds):
+            return reduce(gr.add, map(operator.getitem, self.lift, ds), gr.zero)
+        low = max(k for k in range(live + 1) if q ** k <= HISTOGRAM_CAP)
+        lows = _table(q ** low, lambda lo, hi: [
+            free((0,) * (live - low) + ds) for ds in _points(lo, hi, low, q)])
+        highs = _table(q ** (live - low), lambda lo, hi: [
+            free(ds + (0,) * low) for ds in _points(lo, hi, live - low, q)])
+        self.free = lows if low == live else (
+            lambda v: gr.add(highs(v // q ** low), lows(v % q ** low)))
+        self.codes = _table(self.Q, lambda lo, hi: _points(lo, hi, live, q))  # its digit codes
 
-        reads = [[j] + [slot % n for _, factors in g for slot, _ in factors]
-                 for j, g in self.generators]
-        parts = sorted((c for c in _components(n, monomials + reads) if c & read),
-                       key=lambda c: (len(c), min(c)))
-        self.factor = self.q ** (n * m - live * len(set().union(*parts)))
+        self.factors = {}  # scope -> [(monomial, coefficient multiplier)]
+        for mono, coeffs in monomials.items():
+            scope = tuple(sorted(set().union(*(self.reach[j] for j, _ in mono))))
+            self.factors.setdefault(scope, []).append((mono, scale(coeffs)))
+        variables = set().union(*self.factors)
 
-        mods = [pk for _, pk in self.system for _ in range(field.h)]
-        space = math.prod(mods)  # |prod_k GR(p^{m_k}, h)|, a bound on any histogram
-        constants = [([(c, fs) for c, fs in f if not fs], pk) for f, pk in self.system]
-        acc, entries, k = {self._residues(constants, [], 1): 1}, 1, 0
-        while k < len(parts) - 1:  # the largest component is always enumerated last
-            points = self.q ** (live * len(parts[k]))
-            if entries * min(points, space) > HISTOGRAM_CAP:
+        scopes, messages = list(self.factors), []
+        acc, core = {self.reduce(scale(constants)): 1}, set(variables)
+        while len(core) > 1:
+            j = self._next_column(core, scopes, messages, len(acc))
+            if j is None:
                 break
-            acc = _convolve(acc, self._histogram(parts[k], points), mods)
-            entries = min(entries * points, space)
-            k += 1
-        self.rest = set().union(*parts[k:])
-        self.size = self.q ** (live * len(self.rest))
-        self.acc = acc if k else None
-        self.last = self._restrict(self.rest) if k else self.system
+            sep, table = self._eliminate(j, scopes, messages)
+            if sep:
+                messages.append((sep, table, max(map(len, table))))
+            else:
+                acc = _product([acc, table[0]], 0, self.reduce)
+            core.remove(j)
 
-    def _restrict(self, cols):
-        """The system's monomials in the columns `cols`, without constant terms."""
-        return [([(c, fs) for c, fs in f if fs and fs[0][0] in cols], pk) for f, pk in self.system]
+        self.core = core = tuple(sorted(core))
+        self.inner = max(k for k in range(1, len(core) + 1) if k == 1 or self.Q ** k <= ROW)
+        self.row, self.size = self.Q ** self.inner, self.Q ** len(core)
+        self.factor, self.shift = q ** (n * m - live * len(variables)), 0
+        if len(acc) == 1:
+            [(self.shift, weight)] = acc.items()
+            self.factor *= weight
+        else:
+            messages.append(((), [acc], len(acc)))
+        # The widest histogram is read at the negated residue of a point;
+        # the others are convolved per point.
+        messages.sort(key=lambda msg: msg[2])
+        if messages:
+            top = sum(pk << s for s, pk in slots)
+            sep, table, _ = messages.pop()
+            messages.append((sep, [{self.reduce(top - k): x for k, x in hist.items()}
+                                   for hist in table], 0))
+        self.pending = [(table.__getitem__, self._place(sep, core, self.inner))
+                        for sep, table, _ in messages]
+        self.terms = self._terms([t for s in scopes for t in self.factors[s]], core, self.inner)
 
-    def _residues(self, system, powers, sign):
-        """sign * f_k mod p^{m_k} for each compiled f_k, as one flat tuple of ints."""
-        gr = self.gr
-        return tuple([sign * c % pk for f, pk in system
-                      for c in gr.coeffs(_evaluate(f, powers, gr.mul, gr.add, gr.zero))])
+    def _values_at(self, j, points):
+        """Column j's values at `points`, tuples of the values of its reach."""
+        gr, fq, reach, n = self.gr, self.fq, self.reach[j], self.n
+        ys = list(map(self.free, map(operator.itemgetter(reach.index(j)), points)))
+        codes = {}  # free digit slot i*n + c -> its digit codes at the points
+        for k, c in enumerate(reach if j in self.generators else ()):
+            found = list(map(self.codes, [point[k] for point in points]))
+            for i in range(self.live):
+                codes[i * n + c] = [ds[i] for ds in found]
+        for i, g in self.generators.get(j, ()):
+            total = [fq.zero] * len(points)
+            for coeff, factors in g:
+                term = [coeff] * len(points)
+                for slot, e in factors:
+                    term = list(map(fq.mul, term, map(self.fq_powers[e].__getitem__, codes[slot])))
+                total = list(map(fq.add, total, term))
+            ys = list(map(gr.add, ys, [self.lift[i][self.fq_code[fq.reduce(v)]] for v in total]))
+        return list(map(gr.reduce, ys))
 
-    def _histogram(self, cols, points):
-        """Residue vectors of the columns `cols` alone, with their multiplicities."""
-        system, hist = self._restrict(cols), {}
-        for powers in self._points(cols, 0, points):
-            key = self._residues(system, powers, 1)
-            hist[key] = hist.get(key, 0) + 1
-        return hist
+    def _power(self, j, e):
+        """Column j's value to the e, by the big-endian index of its reach's values."""
+        count, Q, mul = len(self.reach[j]), self.Q, self.gr.mul
+        if j not in self.columns:
+            self.columns[j] = _table(Q ** count, lambda lo, hi: self._values_at(
+                j, _points(lo, hi, count, Q)))
+        if (j, e) not in self.powers:
+            values = self.columns[j]
+            self.powers[(j, e)] = _table(Q ** count, lambda lo, hi: [
+                power(values(index), e, mul) for index in range(lo, hi)])
+        return self.powers[(j, e)]
 
-    def _points(self, cols, start, stop):
-        """Column power tables at the indices [start, stop) of the free digits of `cols`.
+    def _packed(self, j, e, alone):
+        """Per value y of column j, [y^e * t^r packed for r < h, or r = 0
+        `alone`]: the monomial y^e * x has the value sum_r x_r * entry[r]."""
+        if (j, e, alone) not in self.powers:
+            ys, mul, pack = self._power(j, e), self.gr.mul, self.pack
+            basis = [] if alone else self.basis
+            self.powers[(j, e, alone)] = _table(self.Q ** len(self.reach[j]), lambda lo, hi: [
+                [pack(y)] + [pack(mul(y, t)) for t in basis] for y in map(ys, range(lo, hi))])
+        return self.powers[(j, e, alone)]
 
-        The index is big-endian base q over those digits, i-major then j.
-        One list, indexed by column and refilled per point, is yielded.
-        """
-        q, n, nfree = self.q, self.n, self.nfree
-        mul, add, zero = self.gr.mul, self.gr.add, self.gr.zero
-        fq_mul, fq_add, fq_zero, fq_reduce = self.fq.mul, self.fq.add, self.fq.zero, self.fq.reduce
-        fq_powers, fq_code = self.fq_powers, self.fq_code
-        free = [slot for slot in range(nfree) if slot % n in cols]
-        generators = [(k, g) for k, (j, g) in enumerate(self.generators, nfree) if j in cols]
-        columns = [(j, *self.columns[j]) for j in sorted(cols)]
-        codes = [0] * (nfree + len(self.generators))
-        digit_powers, powers = [None] * nfree, [None] * n
-        index = start
-        for slot in reversed(free):
-            index, codes[slot] = divmod(index, q)
-        for _ in range(stop - start):
-            if generators:
-                for slot in free:
-                    digit_powers[slot] = fq_powers[codes[slot]]
-                for k, g in generators:
-                    value = _evaluate(g, digit_powers, fq_mul, fq_add, fq_zero)
-                    codes[k] = fq_code[fq_reduce(value)]
-            for j, sources, exponents in columns:
-                y = zero
-                for row, slot in sources:
-                    y = add(y, row[codes[slot]])
-                powers[j] = _power_table(y, exponents, mul)
-            yield powers
-            k = len(free) - 1  # advance the odometer
-            while k >= 0:
-                slot = free[k]
-                codes[slot] += 1
-                if codes[slot] < q:
-                    break
-                codes[slot] = 0
-                k -= 1
+    def _next_column(self, core, scopes, messages, acc):
+        """The column to eliminate next, or None when enumerating the core
+        costs less; a point weighed by histograms costs the product of all
+        their widths but the largest."""
+        Q = self.Q
+        near = {c: {c} for c in core}  # each column with the columns it shares a scope with
+        for scope in scopes + [sep for sep, _, _ in messages]:
+            for c in scope:
+                near[c].update(scope)
+
+        def per_point(widths):
+            return math.prod(sorted(widths)[:-1])
+
+        def fill(j):
+            return sum(b not in near[a] for a, b in combinations(sorted(near[j] - {j}), 2))
+
+        now = Q ** len(core) * per_point([w for _, _, w in messages] + [acc])
+        for j in sorted(core, key=lambda c: (fill(c), len(near[c]), c)):
+            w = math.prod(w for sep, _, w in messages if j in sep)
+            width = min(self.space, Q * w)
+            cost, entries = Q ** len(near[j]) * w, Q ** (len(near[j]) - 1) * width
+            rest = [w for sep, _, w in messages if j not in sep] + [width, acc]
+            if len(near[j]) == 1:  # the message joins the accumulator
+                cost, entries = cost + acc * width, min(self.space, acc * width)
+                rest[-2:] = [entries]
+            if (max(cost, entries) <= HISTOGRAM_CAP
+                    and cost + Q ** (len(core) - 1) * per_point(rest) < now):
+                return j
+        return None
+
+    def _eliminate(self, j, scopes, messages):
+        """Sum column j out of the factors and messages that read it, which
+        are removed; returns the message: the other columns they read and
+        the residue histogram at each assignment of those, big-endian."""
+        Q, reduce = self.Q, self.reduce
+        inbox = [(sep, table) for sep, table, _ in messages if j in sep]
+        sep = tuple(sorted(set().union(*(s for s in scopes if j in s), *(s for s, _ in inbox))
+                           - {j}))
+        over = sep + (j,)
+        terms = self._terms([t for s in scopes if j in s for t in self.factors[s]], over, 1)
+        hists = [(table.__getitem__, self._place(s, over, 1)) for s, table in inbox]
+        out = []
+        for outer in product(range(Q), repeat=len(sep)):
+            found = [self._read(table, place, outer, 0, Q) for table, place in hists]
+            message = {}
+            for r, *hs in zip(self._values(terms, outer, 0, Q), *found):
+                for key, x in _product(hs, reduce(r), reduce).items():
+                    message[key] = message.get(key, 0) + x
+            out.append(message)
+        scopes[:] = [s for s in scopes if j not in s]
+        messages[:] = [msg for msg in messages if j not in msg[0]]
+        return sep, out
+
+    def _place(self, scope, over, inner):
+        """How rows over `over`, fixing all but the last `inner` columns, read a table
+        over `scope`: strides of the fixed columns, offsets of a row's points or None."""
+        strides = _strides(scope, over, self.Q)
+        fixed, moving = strides[:len(over) - inner], strides[len(over) - inner:]
+        if not any(moving):
+            return fixed, None
+        if inner == 1:
+            return fixed, range(0, moving[0] * self.Q, moving[0])
+        offsets = [0]
+        for stride in moving:
+            offsets = [o + stride * v for o in offsets for v in range(self.Q)]
+        return fixed, offsets
+
+    @staticmethod
+    def _read(table, place, outer, lo, hi):
+        """The entries of `table` at the points lo..hi-1 of the row after `outer`."""
+        strides, offsets = place
+        base = sum(map(operator.mul, outer, strides))
+        if offsets is None:
+            return [table(base)] * (hi - lo)
+        return list(map(table, map(base.__add__, offsets[lo:hi])))
+
+    def _terms(self, monomials, over, inner):
+        """Monomials placed for rows over `over`: the tables of all but the last
+        column, the last one's packed table, and the coefficient multiplier."""
+        return [([(self._power(i, f), self._place(self.reach[i], over, inner))
+                  for i, f in others],
+                 (self._packed(j, e, not others), self._place(self.reach[j], over, inner)), c)
+                for *others, (j, e), c in (mono + (c,) for mono, c in monomials)]
+
+    def _values(self, terms, outer, lo, hi, start=0):
+        """`start` plus the placed monomials, packed and unreduced, at the
+        points lo..hi-1 of the row after `outer`."""
+        values = [start] * (hi - lo)
+        for others, (packed, place), c in terms:
+            ys = None
+            for column, where in others:
+                found = self._read(column, where, outer, lo, hi)
+                ys = found if ys is None else list(map(self.gr.mul, ys, found))
+            sums = self._read(packed, place, outer, lo, hi)
+            sums = [s[0] for s in sums] if ys is None else map(self.apply, ys, sums)
+            values = list(map(operator.add, values, map(c.__mul__, sums)))
+        return values
 
     def count(self, start: int, stop: int) -> int:
-        """Zeros among the indices [start, stop) of the group enumerated last,
-        each weighted by the convolved components; `factor` is not applied."""
-        points = self._points(self.rest, start, stop)
-        if self.acc is not None:
-            acc, residues, last = self.acc, self._residues, self.last
-            return sum(acc.get(residues(last, powers, -1), 0) for powers in points)
-        mul, add, zero, divisible = self.gr.mul, self.gr.add, self.gr.zero, self.gr.divisible
-        zeros = 0
-        for powers in points:
-            for f, pk in self.last:
-                if not divisible(_evaluate(f, powers, mul, add, zero), pk):
-                    break
-            else:
-                zeros += 1
+        """Zeros among the core points [start, stop), big-endian over the core
+        columns, each weighed by the messages left; `factor` is not applied."""
+        reduce, zeros = self.reduce, 0
+        while start < stop:
+            prefix, lo = divmod(start, self.row)
+            hi = min(self.row, lo + ROW, stop - prefix * self.row)
+            start += hi - lo
+            [outer] = _points(prefix, prefix + 1, len(self.core) - self.inner, self.Q)
+            row = self._values(self.terms, outer, lo, hi, self.shift)
+            if not self.pending:
+                zeros += sum(map(self.is_zero, row))
+                continue
+            *found, last = [self._read(t, place, outer, lo, hi) for t, place in self.pending]
+            if not found:
+                zeros += sum(map(dict.get, last, map(reduce, row), repeat(0)))
+                continue
+            for r, hist, *hists in zip(row, last, *found):
+                weights = _product(hists, reduce(r), reduce)
+                zeros += sum(x * hist.get(k, 0) for k, x in weights.items())
         return zeros
 
 

@@ -44,10 +44,13 @@ def teichmuller_lift(a: GRElem, params: GRParams) -> GRElem:
 
 
 def to_digits(y: GRElem):
-    """Teichmuller digit vector (a_0, ..., a_{M-1}) with y = sum tau(a_i) p^i."""
+    """Teichmuller digit vector (a_0, ..., a_{M-1}) with y = sum tau(a_i) p^i;
+    each digit is lifted once, at the first level it occurs at (lower levels
+    reduce that lift, since lifting commutes with reduction)."""
     params = y.params
     p = params.p
     digits = []
+    lifts = {}
     coeffs = list(y.coeffs)
     for i in range(params.precision):
         level = params.precision - i
@@ -55,8 +58,9 @@ def to_digits(y: GRElem):
         coeffs = [c % mod for c in coeffs]
         a = GRElem(params.field.ring, tuple(c % p for c in coeffs))
         digits.append(a)
-        tau = teichmuller_lift(a, GRParams(params.field, level))
-        coeffs = [((c - t) % mod) // p for c, t in zip(coeffs, tau.coeffs)]
+        if a.coeffs not in lifts:
+            lifts[a.coeffs] = teichmuller_lift(a, GRParams(params.field, level)).coeffs
+        coeffs = [((c - t) % mod) // p for c, t in zip(coeffs, lifts[a.coeffs])]
     return tuple(digits)
 
 

@@ -15,11 +15,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ValidationError
-from .poly import MultiPoly, ZZ
+from .errors import BudgetError, ValidationError
+from .poly import MultiPoly, ZZ, power_terms_bound, product_terms_bound
 
 SUM = "sum"
 PRODUCT = "product"
+# A power or product of the recursion whose result could exceed this many
+# terms is refused before it is expanded.  The largest in use, the (p, n, r)
+# = (3, 3, 3) sum, stays below 2^20 by this bound; (5, 3, 3) ran for minutes.
+MAX_WITT_TERMS = 1 << 20
+_REFUSAL = f"the Witt recursion could produce more than {MAX_WITT_TERMS} terms"
 
 
 def witt_variable_names(n: int, r: int):
@@ -48,6 +53,8 @@ def _witt_sum(p: int, k: int, xs, names) -> MultiPoly:
     first len(xs) of its terms."""
     total = MultiPoly.zero(ZZ, names)
     for i, x in enumerate(xs):
+        if power_terms_bound(x, p ** (k - i), MAX_WITT_TERMS) > MAX_WITT_TERMS:
+            raise BudgetError(_REFUSAL)
         total = total + x ** (p ** (k - i)) * (p ** i)
     return total
 
@@ -79,6 +86,8 @@ def _ghost_combination(p, k, n, r, kind, names):
     else:
         g = MultiPoly.constant(ZZ, names, 1)
         for gh in ghosts:
+            if product_terms_bound(g, gh, MAX_WITT_TERMS) > MAX_WITT_TERMS:
+                raise BudgetError(_REFUSAL)
             g = g * gh
     return g
 

@@ -403,3 +403,55 @@ def test_separable_soundness_sweep():
             assert all(count.cardinality % p ** (h * v) == 0 for v in values), text
             reaching += max(values, default=0) >= 2
     assert reaching >= cases // 4
+
+
+def chain_instance(rng, n):
+    """f1 = sum_j c_j x_j x_{j+1} + 1 mod 2^3 and f2 = sum_j d_j x_j^(1|2) mod 2^2
+    over the q = 2, m = 2 Teichmuller box: one component at every n."""
+    c = [rng.randint(1, 7) for _ in range(n - 1)]
+    d = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(n)]
+    f1 = " + ".join(f"{cj}*x{j}*x{j + 1}" for j, cj in enumerate(c, 1)) + " + 1"
+    f2 = " + ".join(f"{dj}*x{j}^{e}" for j, (dj, e) in enumerate(d, 1))
+    text = (f"[ring]\np = 2\n[problem]\nn = {n}\nm = 2\n[system]\n"
+            f"f1 = {f1} mod p^3\nf2 = {f2} mod p^2\n")
+    return text, c, d
+
+
+def chain_count(c, d):
+    """|V| of a chain instance by a transfer matrix on plain ints.
+
+    A Teichmuller digit of Z_2 is the bit itself, so x_j = a0 + 2*a1 runs
+    over 0..3; the state after column j is (x_j, f1 so far mod 8, f2 so far
+    mod 4), with the constant of f1 in from the start.
+    """
+    states = {}
+    for x in range(4):
+        key = (x, 1, d[0][0] * x ** d[0][1] % 4)
+        states[key] = states.get(key, 0) + 1
+    for cj, (dj, e) in zip(c, d[1:]):
+        nxt = {}
+        for (x, r1, r2), ways in states.items():
+            for y in range(4):
+                key = (y, (r1 + cj * x * y) % 8, (r2 + dj * y ** e) % 4)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return sum(ways for (_, r1, r2), ways in states.items() if r1 == r2 == 0)
+
+
+def test_chain_soundness_sweep():
+    # degree-2 systems with mixed moduli over boxes of up to 4^32 points in
+    # one component, counted by elimination, reach bound values that a
+    # separable sweep cannot
+    rng = random.Random("chain-soundness")
+    reaching = 0
+    for n in range(8, 33):
+        text, c, d = chain_instance(rng, n)
+        inst = parse_instance(text)
+        count = count_zeros(inst, budget=inst.box.base_size())
+        assert count.cardinality == chain_count(c, d), text
+        values = {e.name: e.value for e in bound_report(inst, count=count).entries
+                  if e.applicable}
+        assert count.cardinality and all(count.cardinality % 2 ** v == 0
+                                         for v in values.values()), text
+        reaching += values["general"] >= 6
+    assert reaching >= 2

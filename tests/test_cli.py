@@ -282,6 +282,8 @@ HOSTILE_INPUTS = {
     "low-digit": (_ONE_COLUMN + f"f1 = 2^299*x1^{2 ** 3000} mod p^300\n[box]\n"
                   + "".join(f"g[{b}][1] = x[0][1]\n" for b in range(1, 300)),
                   EXIT_OK, _D_NOTE + f"{2 ** 2701}\n"),
+    # to_digits lifted each digit afresh at each of the 3000 levels: 12 s
+    "deep-modulus": (_ONE_COLUMN + "f1 = x1 mod p^3000\n", EXIT_OK, _D_NOTE + "1\n"),
     "non-utf8": ("\xff\xfe[ring]\n", EXIT_VALIDATION, "error.kind=io\n"),
     "oversized-problem": (_ONE_COLUMN.replace("n = 1", "n = 99999999999999999999")
                           + "f1 = x1 mod p^1\n", EXIT_BUDGET, "error.kind=budget\n"),
@@ -315,3 +317,20 @@ def test_hostile_input_fails_fast(tmp_path, name, command):
     assert line in proc.stdout
     if command == "verify" and code == EXIT_OK:
         assert proc.stdout.endswith("status=PASS\n")
+
+
+def test_oversized_witt_polys_are_refused():
+    # the (5, 3, 3) sum ran for minutes; its recursion passes MAX_WITT_TERMS
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "witt-polys", "--p", "5",
+                           "--n", "3", "--r", "3"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout.startswith("error.kind=budget\n")

@@ -3,8 +3,10 @@
 The reference decides every point with `box_enumerate` (decode_base,
 expand_point), `evaluate_point` (from_digits, MultiPoly.evaluate over GRElem)
 and `is_zero`; `count_zeros` must match it exactly on every instance.  The
-"components" corpus splits the columns into several components, so the
-kernel convolves residue histograms there instead of deciding each point.
+"components" corpus splits the columns into several components, and the
+"elimination" corpus links them in chains, cycles, stars, 2 x k grids and
+through generators, so the kernel sums columns out into residue histograms
+there instead of deciding each point.
 """
 
 import os
@@ -27,6 +29,7 @@ from wittbox.poly import FieldDomain, MultiPoly, ZZ
 # reference enumerates in well under a second.
 FIELDS = {(2, 1): 6, (2, 2): 3, (2, 3): 2, (3, 1): 4, (3, 2): 2, (5, 1): 2, (5, 2): 1}
 KINDS = ("teichmuller", "generators", "components")
+SHAPES = ("chain", "cycle", "star", "grid", "linked")
 PARTITIONS = (1, 2, 7)
 
 
@@ -129,8 +132,64 @@ def components_instance(rng, field, max_nm, flavour):
     return make_instance(box_make(field, n, m, generators), system)
 
 
+def edges(shape, n):
+    """The pairs of columns (1-based) that a shape's monomials mix."""
+    if shape == "star":
+        return [(1, j) for j in range(2, n + 1)]
+    if shape == "grid":  # 2 x k: row r, column c is column r*k + c + 1; a tail if n is odd
+        k = n // 2
+        return ([(r * k + c + 1, r * k + c + 2) for r in (0, 1) for c in range(k - 1)]
+                + [(c + 1, k + c + 1) for c in range(k)] + [(n - 1, n)] * (n % 2))
+    chain = [(j, j + 1) for j in range(1, n)]
+    if shape == "linked":  # column n shares no monomial: only g[i][1] links it
+        return chain[:-1]
+    return chain + [(n, 1)] if shape == "cycle" and n > 2 else chain
+
+
+def elimination_instance(rng, field, shape, n, m):
+    """One connected shape of two-column monomials, over enough columns that
+    the kernel eliminates some of them.
+
+    f1 and f2 share out the shape's monomials and a power of each column, with
+    constant and negative coefficients and moduli on both sides of m.  Each
+    column's generators below M' read its own digits; for "linked", g[m][1]
+    also reads column n, which no monomial shares with column 1.
+    """
+    moduli = [rng.randint(1, m + 1), rng.randint(1, m + 1)]
+    if shape == "linked" or max(moduli) == m:
+        moduli[0] = m + 1
+    names = system_variable_names(n)
+    terms = [{(0,) * n: rng.randint(-9, 9)}, {(0,) * n: rng.randint(-9, 9)}]
+    for a, b in edges(shape, n):
+        exps = [0] * n
+        exps[a - 1], exps[b - 1] = rng.randint(1, 2), rng.randint(1, 2)
+        terms[rng.randrange(2)][tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 40)
+    for j in range(n):
+        exps = tuple(rng.randint(1, 3) if k == j else 0 for k in range(n))
+        terms[j % 2][exps] = rng.choice((-1, 1)) * rng.randint(1, 40)
+    system = [(MultiPoly(ZZ, names, t), mk) for t, mk in zip(terms, moduli)]
+    digits = box_variable_names(n, m)
+    generators = {(i, j): random_generator(rng, field, digits, {j})
+                  for i in range(m, max(moduli)) for j in range(1, n + 1) if rng.random() < 0.6}
+    if shape == "linked":
+        generators[(m, 1)] = (random_generator(rng, field, digits, {1})
+                              + MultiPoly.variable(FieldDomain(field), digits, f"x[0][{n}]"))
+    return make_instance(box_make(field, n, m, generators), system)
+
+
 def corpus(p, h, kind):
     field = field_params(p, h)
+    if kind == "elimination":
+        rng = random.Random(f"{p}-{h}-elimination")
+        insts = []
+        for shape in SHAPES:
+            # the most columns a box of 2^9 points allows, or three up to 2^10
+            m = 2 if field.q == 2 and shape != "grid" else 1
+            n = max(k for k in range(2, 9)
+                    if field.q ** (k * m) <= max(1 << 9, min(field.q ** 3, 1 << 10)))
+            if n >= {"cycle": 3, "star": 4, "grid": 4}.get(shape, 2):  # else a chain again
+                insts.append(elimination_instance(rng, field, shape, n, m))
+        return insts
     if kind == "components":
         rng = random.Random(f"{p}-{h}-components")
         return [components_instance(rng, field, FIELDS[(p, h)], k % 3) for k in range(9)]
@@ -155,7 +214,7 @@ def components(inst, generators=True):
 
 
 @pytest.mark.parametrize("p,h", sorted(FIELDS))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("elimination",))
 def test_count_matches_reference(p, h, kind):
     for inst in corpus(p, h, kind):
         expected = reference_count(inst)
@@ -195,6 +254,26 @@ def test_corpus_covers_the_cases():
         for inst in insts)
     assert any(len(set(inst.moduli)) > 1 for inst, k in zip(insts, sizes) if k >= 2)
     assert {inst.field.h for inst, k in zip(insts, sizes) if k >= 2} == {1, 2, 3}
+
+
+def test_elimination_corpus_covers_the_cases():
+    from wittbox.counting import _Kernel
+
+    insts = [inst for p, h in FIELDS for inst in corpus(p, h, "elimination")]
+    assert {inst.field.h for inst in insts} == {1, 2, 3}
+    sides = {(mk > inst.box.m) - (mk < inst.box.m) for inst in insts for _, mk in inst.system}
+    assert sides == {-1, 0, 1}
+    coeffs = [(e, c) for inst in insts for f, _ in inst.system for e, c in f.terms.items()]
+    assert any(c < 0 for _, c in coeffs) and any(not any(e) for e, c in coeffs if c)
+    assert sum(count_zeros(inst).cardinality > 0 for inst in insts) >= len(insts) / 2
+    # every instance is one component, and most have columns summed out
+    assert all(len(components(inst)) == 1 for inst in insts)
+    kernels = [_Kernel(inst) for inst in insts]
+    eliminated = [len(k.core) < inst.box.n for k, inst in zip(kernels, insts)]
+    assert sum(eliminated) >= 2 * len(insts) / 3
+    # a message left over a column of the core, and a generator's reach summed out
+    assert any(place[1] is not None for k in kernels for _, place in k.pending)
+    assert any(done and len(k.reach[0]) > 1 for k, done in zip(kernels, eliminated))
 
 
 def test_large_exponents_match_reference():
