@@ -1,14 +1,9 @@
 """Exact zero counting for congruence systems over a box.
 
-`count_zeros` counts through a plain-integer kernel: per call it builds the
-Teichmuller lift table (q lifts, scaled by p^i for each digit level i),
-tabulates each column's value and powers over the free digits it depends
-on, and packs the residues of all f_k at a point into one int.  Columns are
-summed out one at a time into residue histograms (bucket elimination, in
-min-fill order) while that is cheaper than enumerating them, and the
-columns left are enumerated in rows, each point weighed by those
-histograms; a system whose columns split is the case of histograms that
-depend on no column.  Nothing is sampled.  `evaluate_point` over
+`count_zeros` counts through a plain-integer kernel, `_Kernel`: column
+tables, columns summed out into residue histograms, and the columns left
+enumerated in rows; a system whose columns split is the case of histograms
+that depend on no column.  Nothing is sampled.  `evaluate_point` over
 `box_enumerate` is the object-level brute-force reference the kernel is
 tested against.  The symbolic Teichmuller expansion is deliberately not
 used, so the count stays an independent oracle for everything derived from it.
@@ -95,8 +90,7 @@ class CountReport:
     def ord_p(self):
         if self.cardinality == 0:
             return math.inf
-        v = 0
-        c = self.cardinality
+        v, c = 0, self.cardinality
         while c % self.p == 0:
             c //= self.p
             v += 1
@@ -151,28 +145,31 @@ def _compile(poly, coerce):
             for exps, c in poly.terms.items()]
 
 
-def _points(lo, hi, count, base):
-    """The big-endian `count`-digit base-`base` tuples of the indices lo..hi-1."""
-    if (lo, hi) == (0, base ** count):
-        return list(product(range(base), repeat=count))
-    return [tuple(index // base ** k % base for k in range(count - 1, -1, -1))
-            for index in range(lo, hi)]
+def _digit(lo, hi, stride, base):
+    """The digit of weight `stride` of each index lo..hi-1 in base `base`."""
+    return [index // stride % base for index in range(lo, hi)]
 
 
-def _strides(scope, over, Q):
-    """Per column of `over`, its weight in the big-endian index of `scope`'s
-    assignments (0 for a column outside `scope`); each column has Q values."""
-    return [Q ** (len(scope) - 1 - scope.index(c)) if c in scope else 0 for c in over]
+def _held(entries):
+    """The reader of a list: the entries at an iterable of indices."""
+    return lambda indices: list(map(entries.__getitem__, indices))
 
 
 def _table(size, entries):
-    """A table read by index, from entries(lo, hi), its entries lo..hi-1: all
-    of it held up to HISTOGRAM_CAP entries, else computed by blocks of ROW
-    as they are read, the last two kept."""
+    """The reader of a table from entries(lo, hi), its entries lo..hi-1: held
+    up to HISTOGRAM_CAP entries, else computed by blocks of ROW as read, the
+    last two kept; a range of step 1 is read as slices of its blocks."""
     if size <= HISTOGRAM_CAP:
-        return entries(0, size).__getitem__
+        return _held(entries(0, size))
     block = lru_cache(2)(lambda b: entries(b * ROW, min(size, b * ROW + ROW)))
-    return lambda index: block(index // ROW)[index % ROW]
+
+    def read(indices):
+        if type(indices) is not range or indices.step != 1:
+            return [block(index // ROW)[index % ROW] for index in indices]
+        lo, hi = indices.start, indices.stop
+        return sum((block(b)[max(lo - b * ROW, 0):hi - b * ROW]
+                    for b in range(lo // ROW, -(-hi // ROW))), [])
+    return read
 
 
 def _product(hists, shift, reduce):
@@ -192,27 +189,27 @@ def _product(hists, shift, reduce):
 class _Kernel:
     """Column tables and an elimination plan for one `count_zeros` call.
 
-    Every point is decided in GR(p^{M'}, h) with M' the largest modulus:
-    digit levels i >= M' add p^i * tau(a), which vanishes there, so neither
-    their free digits nor their generators are looked at, and free digits
-    there only multiply the count.  A column then takes Q = q^live values.
+    Every point is decided in GR(p^{M'}, h), M' the largest modulus: digit
+    levels i >= M' add p^i * tau(a), which vanishes there, so their free
+    digits only multiply the count and their generators are never read.  A
+    column then takes Q = q^live values.
 
     The *reach* of column j is j plus the columns its generators below M'
-    read; the value of column j, a function of the free digits of its reach,
-    is tabulated with each power the system takes of it.  A residue vector
-    in prod_k GR(p^{m_k}, h) is one int with a `width`-bit slot per
-    coefficient, so vectors add as ints and the coefficients of a monomial
-    in every f_k are one multiplier.  The monomials whose columns' reaches
-    cover the same columns form one factor over that scope.
+    read; column j's value, a function of the free digits of its reach, is
+    tabulated with each power the system takes of it.  A residue vector in
+    prod_k GR(p^{m_k}, h) is one int with a `width`-bit slot per coefficient,
+    so vectors add as ints and a monomial's coefficients in every f_k are one
+    multiplier.  Monomials whose columns' reaches cover the same columns form
+    one factor over that scope.
 
     Columns are eliminated in min-fill order (bucket elimination, Dechter
-    1999): summing over a column the product of the factors and messages
-    that read it gives a message, a residue histogram per assignment of the
-    other columns they read; a product of histograms is their convolution.
-    A message that reads no column joins the accumulator, which the
-    constant terms seed.  Elimination stops before a message or its work
-    would pass HISTOGRAM_CAP, or would cost more than enumerating the
-    columns left, the core, in rows over its `inner` last columns.
+    1999): summing over a column the product of the factors and messages that
+    read it gives a message, a residue histogram per assignment of the other
+    columns they read (a product of histograms is their convolution).  One
+    that reads no column joins the accumulator the constant terms seed.
+    Elimination stops before a message or its work would pass HISTOGRAM_CAP,
+    or would cost more than enumerating the columns left, the core, in rows
+    over its `inner` last columns.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -220,7 +217,7 @@ class _Kernel:
         p, q, n, m, h = field.p, field.q, box.n, box.m, field.h
         precision = inst.working_precision
         live = min(m, precision)  # free digit levels that reach a residue
-        self.n, self.live, self.Q = n, live, q ** live
+        self.q, self.n, self.live, self.Q = q, n, live, q ** live
         self.gr = gr = _IntRing(field, precision)
         self.fq = fq = _IntRing(field, 1)
         elements = fq_enumerate(field)  # digit code a <-> elements[a]
@@ -252,10 +249,9 @@ class _Kernel:
         else:
             self.reduce = lambda v: sum((v >> s & full) % pk << s for s, pk in slots)
             self.is_zero = lambda v: not (v & full) % mods[0] and not self.reduce(v)
-        self.pack = (lambda v: v) if h == 1 else (lambda v: sum(c << s for c, s in zip(v, shifts)))
+        self.pack = (lambda v: v) if h == 1 else (lambda v: sum(map(operator.lshift, v, shifts)))
         self.basis = [gr.element([0] * r + [1]) for r in range(1, h)]  # t, ..., t^(h-1)
-        self.apply = ((lambda x, sums: x * sums[0]) if h == 1
-                      else (lambda x, sums: sum(map(operator.mul, x, sums))))
+        self.apply = operator.mul if h == 1 else (lambda x, sums: sum(map(operator.mul, x, sums)))
 
         def scale(coeffs):
             return sum(c % pk << s for c, pk, s in zip(coeffs, mods[::h], shifts[::h]))
@@ -276,20 +272,17 @@ class _Kernel:
             {slot % n for _, factors in g for slot, _ in factors}
             for _, g in self.generators.get(j, ()))))) for j in read}
         self.columns, self.powers = {}, {}
+        self.exponents = {j: {e for mono in monomials for i, e in mono if i == j} for j in read}
 
-        # The value the free digits of a column value v < Q give the column;
-        # past HISTOGRAM_CAP values, that of its high digits plus that of its
-        # low ones, each padded with zeros (tau(0) = 0).
-        def free(ds):
-            return reduce(gr.add, map(operator.getitem, self.lift, ds), gr.zero)
-        low = max(k for k in range(live + 1) if q ** k <= HISTOGRAM_CAP)
-        lows = _table(q ** low, lambda lo, hi: [
-            free((0,) * (live - low) + ds) for ds in _points(lo, hi, low, q)])
-        highs = _table(q ** (live - low), lambda lo, hi: [
-            free(ds + (0,) * low) for ds in _points(lo, hi, live - low, q)])
-        self.free = lows if low == live else (
-            lambda v: gr.add(highs(v // q ** low), lows(v % q ** low)))
-        self.codes = _table(self.Q, lambda lo, hi: _points(lo, hi, live, q))  # its digit codes
+        # The values the free digits of column values v < Q give the column:
+        # the sum, over runs of up to `low` digit levels, of what the run's
+        # digits add, read from a table of at most max(q, HISTOGRAM_CAP) entries.
+        low = max([k for k in range(1, live + 1) if q ** k <= HISTOGRAM_CAP] + [1])
+        runs = [(q ** max(live - a - low, 0), reduce(lambda values, i: [
+            gr.add(v, tau) for v in values for tau in self.lift[i]], range(a, min(a + low, live)),
+            [gr.zero])) for a in range(0, live, low)]
+        self.free = lambda vs: reduce(partial(map, gr.add), (
+            [table[v // stride % len(table)] for v in vs] for stride, table in runs))
 
         self.factors = {}  # scope -> [(monomial, coefficient multiplier)]
         for mono, coeffs in monomials.items():
@@ -327,23 +320,21 @@ class _Kernel:
             sep, table, _ = messages.pop()
             messages.append((sep, [{self.reduce(top - k): x for k, x in hist.items()}
                                    for hist in table], 0))
-        self.pending = [(table.__getitem__, self._place(sep, core, self.inner))
+        self.pending = [(_held(table), self._place(sep, core, self.inner))
                         for sep, table, _ in messages]
         self.terms = self._terms([t for s in scopes for t in self.factors[s]], core, self.inner)
 
-    def _values_at(self, j, points):
-        """Column j's values at `points`, tuples of the values of its reach."""
-        gr, fq, reach, n = self.gr, self.fq, self.reach[j], self.n
-        ys = list(map(self.free, map(operator.itemgetter(reach.index(j)), points)))
-        codes = {}  # free digit slot i*n + c -> its digit codes at the points
-        for k, c in enumerate(reach if j in self.generators else ()):
-            found = list(map(self.codes, [point[k] for point in points]))
-            for i in range(self.live):
-                codes[i * n + c] = [ds[i] for ds in found]
+    def _values_at(self, j, lo, hi):
+        """Column j's values at the assignments lo..hi-1 of its reach, big-endian."""
+        gr, fq, reach, q, live = self.gr, self.fq, self.reach[j], self.q, self.live
+        ys = self.free(_digit(lo, hi, self.Q ** (len(reach) - 1 - reach.index(j)), self.Q))
+        # free digit slot i*n + c -> its digit codes at the points: base-q digits of the index
+        codes = {i * self.n + c: _digit(lo, hi, q ** (live * (len(reach) - k) - 1 - i), q)
+                 for k, c in enumerate(reach if j in self.generators else ()) for i in range(live)}
         for i, g in self.generators.get(j, ()):
-            total = [fq.zero] * len(points)
+            total = [fq.zero] * (hi - lo)
             for coeff, factors in g:
-                term = [coeff] * len(points)
+                term = [coeff] * (hi - lo)
                 for slot, e in factors:
                     term = list(map(fq.mul, term, map(self.fq_powers[e].__getitem__, codes[slot])))
                 total = list(map(fq.add, total, term))
@@ -352,24 +343,30 @@ class _Kernel:
 
     def _power(self, j, e):
         """Column j's value to the e, by the big-endian index of its reach's values."""
-        count, Q, mul = len(self.reach[j]), self.Q, self.gr.mul
+        size, mul = self.Q ** len(self.reach[j]), self.gr.mul
         if j not in self.columns:
-            self.columns[j] = _table(Q ** count, lambda lo, hi: self._values_at(
-                j, _points(lo, hi, count, Q)))
+            self.columns[j] = _table(size, partial(self._values_at, j))
         if (j, e) not in self.powers:
-            values = self.columns[j]
-            self.powers[(j, e)] = _table(Q ** count, lambda lo, hi: [
-                power(values(index), e, mul) for index in range(lo, hi)])
+            # y^e is y^d * y^(e-d), for d the next lower power taken, if any
+            values, d = self.columns[j], max((d for d in self.exponents[j] if d < e), default=0)
+            below = self._power(j, d) if d else None
+
+            def entries(lo, hi):
+                ys = [power(v, e - d, mul) for v in values(range(lo, hi))]
+                return ys if below is None else list(map(mul, below(range(lo, hi)), ys))
+            self.powers[(j, e)] = values if e == 1 else _table(size, entries)
         return self.powers[(j, e)]
 
     def _packed(self, j, e, alone):
-        """Per value y of column j, [y^e * t^r packed for r < h, or r = 0
-        `alone`]: the monomial y^e * x has the value sum_r x_r * entry[r]."""
+        """Per value y of column j, y^e packed if h = 1 or `alone`, else
+        [y^e * t^r packed for r < h]: the monomial y^e * x has the value
+        x * entry, or sum_r x_r * entry[r]."""
         if (j, e, alone) not in self.powers:
-            ys, mul, pack = self._power(j, e), self.gr.mul, self.pack
-            basis = [] if alone else self.basis
-            self.powers[(j, e, alone)] = _table(self.Q ** len(self.reach[j]), lambda lo, hi: [
-                [pack(y)] + [pack(mul(y, t)) for t in basis] for y in map(ys, range(lo, hi))])
+            ys, mul, pack, basis = self._power(j, e), self.gr.mul, self.pack, self.basis
+            self.powers[(j, e, alone)] = ys if not basis else _table(
+                self.Q ** len(self.reach[j]), lambda lo, hi: [
+                    pack(y) if alone else [pack(y)] + [pack(mul(y, t)) for t in basis]
+                    for y in ys(range(lo, hi))])
         return self.powers[(j, e, alone)]
 
     def _next_column(self, core, scopes, messages, acc):
@@ -412,7 +409,7 @@ class _Kernel:
                            - {j}))
         over = sep + (j,)
         terms = self._terms([t for s in scopes if j in s for t in self.factors[s]], over, 1)
-        hists = [(table.__getitem__, self._place(s, over, 1)) for s, table in inbox]
+        hists = [(_held(table), self._place(s, over, 1)) for s, table in inbox]
         out = []
         for outer in product(range(Q), repeat=len(sep)):
             found = [self._read(table, place, outer, 0, Q) for table, place in hists]
@@ -428,7 +425,7 @@ class _Kernel:
     def _place(self, scope, over, inner):
         """How rows over `over`, fixing all but the last `inner` columns, read a table
         over `scope`: strides of the fixed columns, offsets of a row's points or None."""
-        strides = _strides(scope, over, self.Q)
+        strides = [self.Q ** (len(scope) - 1 - scope.index(c)) if c in scope else 0 for c in over]
         fixed, moving = strides[:len(over) - inner], strides[len(over) - inner:]
         if not any(moving):
             return fixed, None
@@ -445,8 +442,11 @@ class _Kernel:
         strides, offsets = place
         base = sum(map(operator.mul, outer, strides))
         if offsets is None:
-            return [table(base)] * (hi - lo)
-        return list(map(table, map(base.__add__, offsets[lo:hi])))
+            return table((base,)) * (hi - lo)
+        if type(offsets) is range:
+            offsets = offsets[lo:hi]
+            return table(range(base + offsets.start, base + offsets.stop, offsets.step))
+        return table(map(base.__add__, offsets[lo:hi]))
 
     def _terms(self, monomials, over, inner):
         """Monomials placed for rows over `over`: the tables of all but the last
@@ -466,7 +466,7 @@ class _Kernel:
                 found = self._read(column, where, outer, lo, hi)
                 ys = found if ys is None else list(map(self.gr.mul, ys, found))
             sums = self._read(packed, place, outer, lo, hi)
-            sums = [s[0] for s in sums] if ys is None else map(self.apply, ys, sums)
+            sums = sums if ys is None else map(self.apply, ys, sums)
             values = list(map(operator.add, values, map(c.__mul__, sums)))
         return values
 
@@ -478,7 +478,7 @@ class _Kernel:
             prefix, lo = divmod(start, self.row)
             hi = min(self.row, lo + ROW, stop - prefix * self.row)
             start += hi - lo
-            [outer] = _points(prefix, prefix + 1, len(self.core) - self.inner, self.Q)
+            outer = [prefix // self.Q ** k % self.Q for k in range(len(self.core) - self.inner)][::-1]
             row = self._values(self.terms, outer, lo, hi, self.shift)
             if not self.pending:
                 zeros += sum(map(self.is_zero, row))

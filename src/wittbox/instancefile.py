@@ -24,14 +24,14 @@ generators use variables x[i][j] and may use `t` for F_q coefficients.
 
 from __future__ import annotations
 
+import math
 import re
-from functools import partial
 
 from .box import box_make, box_variable_names, teichmuller_box
 from .counting import ProblemInstance, make_instance, system_variable_names
 from .errors import BudgetError, ParseError
 from .fqfield import field_params, fq
-from .poly import FieldDomain, MultiPoly, ZZ, power_terms_bound, product_terms_bound
+from .poly import FieldDomain, MultiPoly, ZZ
 
 # A `^` or `*` whose result could exceed this many terms is refused before it
 # is expanded, so a short line cannot make parsing run for minutes.  Squaring
@@ -164,8 +164,36 @@ class _ExprParser:
         self._fail("malformed expression" if val is None else f"unexpected token {val!r}")
 
 
-_power_terms_bound = partial(power_terms_bound, cap=MAX_POWER_TERMS)
-_product_terms_bound = partial(product_terms_bound, cap=MAX_POWER_TERMS)
+def _power_terms_bound(poly, e: int) -> int:
+    """An upper bound on the number of terms of poly^e, exact up to MAX_POWER_TERMS.
+
+    poly^e has at most C(v + d*e, v) monomials of degree <= d*e in its v
+    variables, and at most C(t + e - 1, e) products of e of its t terms.
+    """
+    v = sum(1 for column in zip(*poly.terms) if any(column))
+    d, t = poly.total_degree(), max(len(poly.terms), 1)
+    return min(_binomial(v + d * e, v), _binomial(t + e - 1, e))
+
+
+def _product_terms_bound(f, g) -> int:
+    """An upper bound on the number of terms of f*g, exact up to MAX_POWER_TERMS.
+
+    f*g has at most t1*t2 products of their terms, and at most
+    C(v + d1 + d2, v) monomials of degree <= d1 + d2 in the v variables that
+    occur in f or g; the second is only worked out when the first is past the
+    cap.
+    """
+    products = len(f.terms) * len(g.terms)
+    if products <= MAX_POWER_TERMS:
+        return products
+    v = sum(1 for column in zip(*f.terms, *g.terms) if any(column))
+    return min(_binomial(v + f.total_degree() + g.total_degree(), v), products)
+
+
+def _binomial(n: int, k: int) -> int:
+    """C(n, k); past MAX_POWER_TERMS.bit_length(), C(n, k) >= 2^k exceeds the cap."""
+    k = min(k, n - k)
+    return math.comb(n, k) if k <= MAX_POWER_TERMS.bit_length() else MAX_POWER_TERMS + 1
 
 
 def parse_poly(text, domain, variables, line=None, fq_params=None) -> MultiPoly:

@@ -8,7 +8,6 @@ golden tests depend on that exact rendering.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from itertools import chain
 from operator import lshift
@@ -374,35 +373,3 @@ def _packed_mul(dom, a, b):
         if not dom.is_zero(c):
             out.append((k, c))
     return out
-
-
-def power_terms_bound(poly, e: int, cap: int) -> int:
-    """An upper bound on the number of terms of poly^e, exact up to `cap`: at
-    most C(t + e - 1, e) products of e of its t terms and, worked out only past
-    the cap, C(v + d*e, v) monomials of degree <= d*e in its v variables."""
-    products = _binomial(max(len(poly.terms), 1) + e - 1, e, cap)
-    if products <= cap:
-        return products
-    v = sum(1 for column in zip(*poly.terms) if any(column))
-    return min(_binomial(v + poly.total_degree() * e, v, cap), products)
-
-
-def product_terms_bound(f, g, cap: int) -> int:
-    """An upper bound on the number of terms of f*g, exact up to `cap`.
-
-    f*g has at most t1*t2 products of their terms, and at most
-    C(v + d1 + d2, v) monomials of degree <= d1 + d2 in the v variables that
-    occur in f or g; the second is only worked out when the first is past the
-    cap.
-    """
-    products = len(f.terms) * len(g.terms)
-    if products <= cap:
-        return products
-    v = sum(1 for column in zip(*f.terms, *g.terms) if any(column))
-    return min(_binomial(v + f.total_degree() + g.total_degree(), v, cap), products)
-
-
-def _binomial(n: int, k: int, cap: int) -> int:
-    """C(n, k); past cap.bit_length(), C(n, k) >= 2^k exceeds the cap."""
-    k = min(k, n - k)
-    return math.comb(n, k) if k <= cap.bit_length() else cap + 1

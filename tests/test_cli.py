@@ -320,7 +320,7 @@ def test_hostile_input_fails_fast(tmp_path, name, command):
 
 
 def test_oversized_witt_polys_are_refused():
-    # the (5, 3, 3) sum ran for minutes; its recursion passes MAX_WITT_TERMS
+    # the (5, 3, 3) sum ran for minutes; its recursion passes MAX_WITT_PAIRS
     import os
     import subprocess
     import sys
@@ -334,3 +334,14 @@ def test_oversized_witt_polys_are_refused():
                           env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == EXIT_BUDGET
     assert proc.stdout.startswith("error.kind=budget\n")
+
+
+def test_largest_two_fold_witt_polys_are_not_refused(capsys):
+    # the (5, 3, 2) sum peaks at 134 * 15118 term pairs, below MAX_WITT_PAIRS;
+    # its 1.35 MB of stdout is pinned by digest
+    import hashlib
+
+    code, out = run(capsys, "witt-polys", "--p", "5", "--n", "3")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b4640025a65146be9da21216817f1c86c475dde071b01b68fc01e04c56c0cc4a")

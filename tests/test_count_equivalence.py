@@ -222,6 +222,46 @@ def test_count_matches_reference(p, h, kind):
             assert count_zeros(inst, partitions=parts).cardinality == expected, (inst, parts)
 
 
+@pytest.mark.parametrize("p,h", sorted(FIELDS))
+def test_tables_past_the_cap_keep_the_counts(p, h, monkeypatch):
+    # with a cap of 2 entries and rows of 8 points, the kernel computes its
+    # tables by blocks as they are read, splits free values into high and low
+    # digits, and reads runs that cross blocks; the counts must not change
+    import wittbox.counting as counting
+
+    reads, table = set(), counting._table
+
+    def spy(size, entries):
+        read = table(size, entries)
+        if size <= counting.HISTOGRAM_CAP:
+            return read
+
+        def spied(indices):
+            reads.add(type(indices) is range and indices.step == 1)
+            return read(indices)
+        return spied
+
+    # the counts at the real cap, which test_count_matches_reference holds
+    # to the reference on these corpora
+    insts = [inst for kind in KINDS + ("elimination",) for inst in corpus(p, h, kind)]
+    expected = [count_zeros(inst).cardinality for inst in insts]
+    monkeypatch.setattr(counting, "HISTOGRAM_CAP", 2)
+    monkeypatch.setattr(counting, "ROW", 8)
+    monkeypatch.setattr(counting, "_table", spy)
+    for inst, count in zip(insts, expected):
+        for parts in PARTITIONS:
+            assert count_zeros(inst, partitions=parts).cardinality == count, (inst, parts)
+    assert reads == {True, False}  # runs and scattered indices both read blocks
+
+
+def test_column_past_the_cap_counts_exactly():
+    # q = 2, m = 17: the one column takes 2^17 > HISTOGRAM_CAP values, and
+    # x(3x + 1) = 0 mod 2^17 has exactly the roots 0 and -1/3
+    text = "[ring]\np = 2\n[problem]\nn = 1\nm = 17\n[system]\nf1 = 3*x1^2 + x1 mod p^17\n"
+    for parts in (1, 3):
+        assert count_zeros(parse_instance(text), partitions=parts).cardinality == 2
+
+
 def test_corpus_covers_the_cases():
     insts = [inst for p, h in FIELDS for kind in KINDS for inst in corpus(p, h, kind)]
     sides = {(mk > inst.box.m) - (mk < inst.box.m) for inst in insts for _, mk in inst.system}
