@@ -90,7 +90,8 @@ class CountReport:
     def ord_p(self):
         if self.cardinality == 0:
             return math.inf
-        v, c = 0, self.cardinality
+        v = 0
+        c = self.cardinality
         while c % self.p == 0:
             c //= self.p
             v += 1
@@ -281,8 +282,8 @@ class _Kernel:
         runs = [(q ** max(live - a - low, 0), reduce(lambda values, i: [
             gr.add(v, tau) for v in values for tau in self.lift[i]], range(a, min(a + low, live)),
             [gr.zero])) for a in range(0, live, low)]
-        self.free = lambda vs: reduce(partial(map, gr.add), (
-            [table[v // stride % len(table)] for v in vs] for stride, table in runs))
+        self.free = lambda vs: list(reduce(partial(map, gr.add), (
+            [table[v // stride % len(table)] for v in vs] for stride, table in runs)))
 
         self.factors = {}  # scope -> [(monomial, coefficient multiplier)]
         for mono, coeffs in monomials.items():
