@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .box import closeness_check
 from .counting import CountReport, ProblemInstance
@@ -44,25 +43,23 @@ def _degree_case_holds(degs, reading: str) -> bool:
 def ax_katz_bound(n: int, degs) -> int:
     if not degs or any(d < 1 for d in degs):
         raise ValidationError("degrees must be a nonempty list of positive integers")
-    return ceil_star(Fraction(n - sum(degs), max(degs)))
+    return ceil_star(-((sum(degs) - n) // max(degs)))
 
 
 def kmr_bound(n: int, s: int, m: int, degs, reading: str = DEFAULT_READING) -> int:
     if m < 2:
         raise ValidationError("the equal-moduli bound needs m >= 2")
     if n > s and _degree_case_holds(degs, reading):
-        return math.floor(Fraction((n - s + 1) * m - 1, 2))
+        return ((n - s + 1) * m - 1) // 2
     return ceil_star((n - s) * m)
 
 
 def general_bound(n: int, m: int, p: int, moduli, degs) -> int:
     if len(moduli) != len(degs):
         raise ValidationError("moduli and degrees must have the same length")
-    numerator = n * m - sum(
-        Fraction(p ** mk - 1, p - 1) * d for mk, d in zip(moduli, degs)
-    )
-    denominator = max(p ** (mk - 1) * d for mk, d in zip(moduli, degs))
-    return ceil_star(Fraction(numerator, denominator))
+    # (p^mk - 1)/(p - 1) = 1 + p + ... + p^(mk-1) is an integer
+    excess = sum((p ** mk - 1) // (p - 1) * d for mk, d in zip(moduli, degs)) - n * m
+    return ceil_star(-(excess // max(p ** (mk - 1) * d for mk, d in zip(moduli, degs))))
 
 
 def stacked_bound(n: int, s: int, m: int, m1: int, degs,
@@ -102,7 +99,8 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
     slot per unit of exponent) with i + |beta| < m_k.  The level depends on
     (i, |beta|) alone, so only the largest degree at each |beta| = t counts:
     the max-plus product of the slot profiles, each to its variable's power.
-    The budget is charged first: C(t + S - 1, t) slot vectors per (i, t).
+    The budget is charged first, per live digit i: its slot vectors number
+    sum_{t < T} C(t + S - 1, t) = C(T + S - 1, S) for T = m_k - i (1 if S = 0).
     """
     f, mk = inst.system[k]
     spec = inst.box
@@ -114,10 +112,9 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
         live = [i for i, a in enumerate(to_digits(int_to_gr(coeff, params))) if not a.is_zero()]
         total = sum(exps)
         for i in live:
-            for t in range(mk - i):
-                work += math.comb(t + total - 1, t) if total else t == 0
-                if work > D_BUDGET:
-                    raise BudgetError("minimal-d enumeration budget exceeded")
+            work += math.comb(mk - i + total - 1, total)
+            if work > D_BUDGET:
+                raise BudgetError("minimal-d enumeration budget exceeded")
         if not live:
             continue
         width = mk - live[0]  # totals t < width are the only ones any live i reaches
@@ -154,12 +151,6 @@ class BoundReport:
     entries: list
     count: CountReport | None = None
 
-    def entry(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     @property
     def status(self):
         if self.count is None:
@@ -195,7 +186,7 @@ def bound_report(inst: ProblemInstance, count: CountReport | None = None,
         # The single-polynomial statement omits n > 1 in its second case; the
         # proof needs it, so the conservative case selection is used and the
         # alternative value is recorded here.
-        alt = math.floor(Fraction(n * m1 - 1, 2)) + n * (m - m1)
+        alt = (n * m1 - 1) // 2 + n * (m - m1)
         stacked_note += f"; alternative single-polynomial reading would give {alt}"
 
     try:

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError
@@ -25,6 +25,7 @@ from .poly import IntegerDomain, MultiPoly
 
 DEFAULT_BUDGET = 1 << 24
 HISTOGRAM_CAP = 1 << 16  # entries of a table or message, and pairs of one elimination
+MAX_FIELD = 1 << 20  # largest q counted: the kernel lifts and tabulates each element
 # Points of the core read per row: enough to spread the cost of locating
 # each table's entries, few enough that the row's index lists stay small.
 ROW = 1 << 10
@@ -222,10 +223,6 @@ class _Kernel:
         self.gr = gr = _IntRing(field, precision)
         self.fq = fq = _IntRing(field, 1)
         elements = fq_enumerate(field)  # digit code a <-> elements[a]
-        params = GRParams(field, precision)
-        taus = [teichmuller_lift(a, params).coeffs for a in elements]
-        self.lift = [[gr.element([p ** i * c for c in tau]) for tau in taus]
-                     for i in range(precision)]
 
         # Each monomial once, with its coefficient in every f_k.
         monomials, constants = {}, [0] * len(inst.system)
@@ -269,10 +266,14 @@ class _Kernel:
                           for gs in self.generators.values() for _, g in gs
                           for _, factors in g for _, e in factors}
         self.fq_code = {fq.element(a.coeffs): code for code, a in enumerate(elements)}
+        # p^i * tau(a) by digit code, at the levels read: the free ones and the generators'
+        taus = [teichmuller_lift(a, GRParams(field, precision)).coeffs for a in elements]
+        levels = set(range(live)).union(i for gs in self.generators.values() for i, _ in gs)
+        self.lift = {i: [gr.element([p ** i * c for c in tau]) for tau in taus] for i in levels}
         self.reach = {j: tuple(sorted({j}.union(*(
             {slot % n for _, factors in g for slot, _ in factors}
             for _, g in self.generators.get(j, ()))))) for j in read}
-        self.columns, self.powers = {}, {}
+        self.powers = {}
         self.exponents = {j: {e for mono in monomials for i, e in mono if i == j} for j in read}
 
         # The values the free digits of column values v < Q give the column:
@@ -344,18 +345,20 @@ class _Kernel:
 
     def _power(self, j, e):
         """Column j's value to the e, by the big-endian index of its reach's values."""
+        if (j, e) in self.powers:
+            return self.powers[(j, e)]
         size, mul = self.Q ** len(self.reach[j]), self.gr.mul
-        if j not in self.columns:
-            self.columns[j] = _table(size, partial(self._values_at, j))
-        if (j, e) not in self.powers:
+        if e == 1:
+            entries = partial(self._values_at, j)
+        else:
             # y^e is y^d * y^(e-d), for d the next lower power taken, if any
-            values, d = self.columns[j], max((d for d in self.exponents[j] if d < e), default=0)
+            values, d = self._power(j, 1), max((d for d in self.exponents[j] if d < e), default=0)
             below = self._power(j, d) if d else None
 
             def entries(lo, hi):
                 ys = [power(v, e - d, mul) for v in values(range(lo, hi))]
                 return ys if below is None else list(map(mul, below(range(lo, hi)), ys))
-            self.powers[(j, e)] = values if e == 1 else _table(size, entries)
+        self.powers[(j, e)] = _table(size, entries)
         return self.powers[(j, e)]
 
     def _packed(self, j, e, alone):
@@ -485,9 +488,6 @@ class _Kernel:
                 zeros += sum(map(self.is_zero, row))
                 continue
             *found, last = [self._read(t, place, outer, lo, hi) for t, place in self.pending]
-            if not found:
-                zeros += sum(map(dict.get, last, map(reduce, row), repeat(0)))
-                continue
             for r, hist, *hists in zip(row, last, *found):
                 weights = _product(hists, reduce(r), reduce)
                 zeros += sum(x * hist.get(k, 0) for k, x in weights.items())
@@ -508,6 +508,9 @@ def count_zeros(inst: ProblemInstance, budget: int = DEFAULT_BUDGET,
         raise BudgetError(f"{total} points exceed the enumeration budget {budget}")
     if partitions < 1:
         raise ValidationError("partitions must be >= 1")
+    if inst.field.q > MAX_FIELD:
+        raise BudgetError(f"q={inst.field.q} exceeds the largest field the kernel "
+                          f"tabulates, {MAX_FIELD} elements")
     kernel = _Kernel(inst)
     size = kernel.size
     partitions = min(partitions, size)

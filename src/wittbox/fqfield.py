@@ -9,9 +9,9 @@ test; a silently reducible modulus would corrupt every downstream count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .errors import ConfigError, ValidationError
+from .errors import BudgetError, ConfigError, ValidationError
 
 # Built-in irreducible moduli for the extension sizes used at desk scale.
 # Users may override any of these by passing an explicit modulus.
@@ -28,6 +28,10 @@ DEFAULT_MODULI = {
 # no such p is in scope for exact enumeration anyway.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
+
+# Rabin's test takes h Frobenius powers of about h^2 operations each, seconds
+# past this degree, so a modulus of larger degree is refused untested.
+MAX_MODULUS_DEGREE = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -126,22 +130,23 @@ def _is_irreducible(modulus, p):
 
     It is irreducible iff t^(p^h) = t mod modulus and, for every prime
     r | h, gcd(t^(p^(h/r)) - t, modulus) = 1.  The Frobenius powers of t
-    are taken by square-and-multiply in F_p[t]/(modulus), so the cost is
-    polynomial in h and log p.
+    are taken by square-and-multiply in F_p[t]/(modulus) on coefficient
+    tuples, so the cost is polynomial in h and log p.
     """
     h = _polydeg(modulus)
     if h < 1:
         return False
     inv_lead = pow(modulus[h], p - 2, p)
     modulus = tuple(c * inv_lead % p for c in modulus[:h + 1])
-    # Element arithmetic needs only a ring, which F_p[t]/(modulus) always is.
-    t = GRElem(FieldParams(p, h, modulus).ring, tuple(_polyrem([0, 1] + [0] * h, modulus, p)[:h]))
+    mul = partial(polymul_mod, modulus, p)
+    t = tuple(_polyrem([0, 1] + [0] * h, modulus, p)[:h])
     frobenius = [t]  # frobenius[k] = t^(p^k)
     for _ in range(h):
-        frobenius.append(frobenius[-1] ** p)
+        frobenius.append(power(frobenius[-1], p, mul))
     if frobenius[h] != t:
         return False
-    return all(_coprime(modulus, (frobenius[h // r] - t).coeffs, p) for r in _prime_factors(h))
+    return all(_coprime(modulus, [(a - b) % p for a, b in zip(frobenius[h // r], t)], p)
+               for r in _prime_factors(h))
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,9 @@ def field_params(p: int, h: int = 1, modulus=None) -> FieldParams:
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != h + 1 or modulus[h] != 1:
         raise ValidationError("modulus must be monic of degree exactly h")
+    if h > MAX_MODULUS_DEGREE:
+        raise BudgetError(f"h={h} is beyond the largest modulus degree tested for "
+                          f"irreducibility, {MAX_MODULUS_DEGREE}")
     if h > 1 and not _is_irreducible(modulus, p):
         raise ValidationError(f"modulus {modulus} is reducible over F_{p}")
     return FieldParams(p=p, h=h, modulus=modulus)
@@ -320,14 +328,6 @@ def fq(params: FieldParams, coeffs) -> GRElem:
         raise ValidationError(f"coefficient list longer than h={params.h}")
     coeffs += [0] * (params.h - len(coeffs))
     return GRElem(params.ring, tuple(c % params.p for c in coeffs))
-
-
-def fq_zero(params: FieldParams) -> GRElem:
-    return gr_zero(params.ring)
-
-
-def fq_one(params: FieldParams) -> GRElem:
-    return gr_one(params.ring)
 
 
 def fq_enumerate(params: FieldParams):

@@ -13,7 +13,7 @@ from itertools import chain
 from operator import lshift
 
 from .errors import ConfigError, ExactDivisionError, ValidationError
-from .fqfield import FieldParams, GRElem, fq, fq_one, fq_zero, power
+from .fqfield import FieldParams, GRElem, fq, gr_one, gr_zero, power
 
 
 # The coefficient domains are plain immutable-by-convention classes: a
@@ -52,8 +52,8 @@ class FieldDomain:
 
     def __init__(self, params: FieldParams):
         self.params = params
-        self.zero = fq_zero(params)
-        self.one = fq_one(params)
+        self.zero = gr_zero(params.ring)
+        self.one = gr_one(params.ring)
 
     def __eq__(self, other):
         return type(other) is FieldDomain and (

@@ -26,6 +26,11 @@ from wittbox.poly import FieldDomain, MultiPoly, ZZ
 from wittbox.witt import PRODUCT, SUM, witt_op_polys
 
 
+def entry(report, name):
+    """The entry of `report` with this name."""
+    return next(e for e in report.entries if e.name == name)
+
+
 def _passed(k, slug):
     print(f"ACCEPTANCE {k} {slug}: PASS")
 
@@ -38,7 +43,7 @@ def test_01_example41_reproduction():
     close, _ = closeness_check(inst.box, 3)
     assert close
     report = bound_report(inst, count=count)
-    general = report.entry("general")
+    general = entry(report, "general")
     assert general.applicable and general.value == 1
     assert report.status == "PASS"
     _passed(1, "worked-instance-1 (|V|=30, ord=1, bound=1)")
@@ -50,7 +55,7 @@ def test_02_example42_reproduction():
     assert count.cardinality == 32
     assert count.ord_p == 5
     report = bound_report(inst, count=count)
-    general = report.entry("general")
+    general = entry(report, "general")
     assert general.applicable and general.value == 1
     assert count.ord_p > general.value  # bound holds with slack
     assert report.status == "PASS"
@@ -63,7 +68,7 @@ def test_03_example43_closeness_violation():
     assert not close
     assert (2, 1, 5, 4) in violations  # deg 5 > 4 at digit 2
     report = bound_report(inst)
-    assert not report.entry("general").applicable
+    assert not entry(report, "general").applicable
     count = count_zeros(inst)
     assert count.cardinality == 30
     _passed(3, "worked-instance-3 (closeness fails, |V|=30)")

@@ -264,34 +264,56 @@ _ONE_COLUMN = "[ring]\np = 2\n[problem]\nn = 1\nm = 1\n[system]\n"
 _WIDE_BOX = "".join(f"g[{b}][{l}] = x[0][{l}]\n" for b in range(1, 6) for l in (1, 2, 3))
 _BUDGET_NOTE = "note.improved=minimal-d enumeration budget exceeded\n"
 _D_NOTE = "note.improved=per-term degree condition satisfied by construction; d="
+_REFUSED = "error.kind=budget\n"
+_EXTENSION = _ONE_COLUMN.replace("p = 2\n", "p = 2\nh = {h}\nmodulus = t^{h} + t + 1\n")
 
-# name: (file contents, exit code of bound and verify, the line expected on stdout)
+
+def _both(code, line):
+    """The exit code and a line of stdout expected of `bound` and `verify` alike."""
+    return {"bound": (code, line), "verify": (code, line)}
+
+
+# name: (file contents, {command: (exit code, a line expected on stdout)})
 HOSTILE_INPUTS = {
     # minimal_d enumerated every slot vector: 55 s, a RecursionError, a
     # 2^40-entry slot list, and 11 s to reach the budget note
     "deep-generators": (_ONE_COLUMN + "f1 = x1^400 mod p^3\n[box]\n"
-                        "g[1][1] = x[0][1]\ng[2][1] = x[0][1]\n", EXIT_OK, _D_NOTE + "400\n"),
-    "high-power": (_ONE_COLUMN + "f1 = x1^2000 mod p^2\n", EXIT_OK, _D_NOTE + "2000\n"),
-    "huge-power": (_ONE_COLUMN + f"f1 = x1^{2 ** 40} mod p^2\n", EXIT_OK, _BUDGET_NOTE),
+                        "g[1][1] = x[0][1]\ng[2][1] = x[0][1]\n", _both(EXIT_OK, _D_NOTE + "400\n")),
+    "high-power": (_ONE_COLUMN + "f1 = x1^2000 mod p^2\n", _both(EXIT_OK, _D_NOTE + "2000\n")),
+    "huge-power": (_ONE_COLUMN + f"f1 = x1^{2 ** 40} mod p^2\n", _both(EXIT_OK, _BUDGET_NOTE)),
     "wide-box": ("[ring]\np = 2\n[problem]\nn = 3\nm = 1\n[system]\n"
                  "f1 = x1^6*x2^6*x3^6 + x1 mod p^12\n[box]\n" + _WIDE_BOX
-                 + "g[6][1] = x[0][1]*x[0][2]\n", EXIT_OK, _BUDGET_NOTE),
+                 + "g[6][1] = x[0][1]*x[0][2]\n", _both(EXIT_OK, _BUDGET_NOTE)),
     # only the top coefficient digit is live, so only the total t = 0 counts;
     # 299 generator levels made the profiles dense, and squaring them 3000
     # times at full width took tens of seconds
     "low-digit": (_ONE_COLUMN + f"f1 = 2^299*x1^{2 ** 3000} mod p^300\n[box]\n"
                   + "".join(f"g[{b}][1] = x[0][1]\n" for b in range(1, 300)),
-                  EXIT_OK, _D_NOTE + f"{2 ** 2701}\n"),
+                  _both(EXIT_OK, _D_NOTE + f"{2 ** 2701}\n")),
     # to_digits lifted each digit afresh at each of the 3000 levels: 12 s
-    "deep-modulus": (_ONE_COLUMN + "f1 = x1 mod p^3000\n", EXIT_OK, _D_NOTE + "1\n"),
-    "non-utf8": ("\xff\xfe[ring]\n", EXIT_VALIDATION, "error.kind=io\n"),
+    "deep-modulus": (_ONE_COLUMN + "f1 = x1 mod p^3000\n", _both(EXIT_OK, _D_NOTE + "1\n")),
+    "non-utf8": ("\xff\xfe[ring]\n", _both(EXIT_VALIDATION, "error.kind=io\n")),
     "oversized-problem": (_ONE_COLUMN.replace("n = 1", "n = 99999999999999999999")
-                          + "f1 = x1 mod p^1\n", EXIT_BUDGET, "error.kind=budget\n"),
+                          + "f1 = x1 mod p^1\n", _both(EXIT_BUDGET, _REFUSED)),
+    # Rabin's test is cubic in h: a modulus of degree 1000 ran past 60 s,
+    # and degree 127 is still tested
+    "deep-extension": (_EXTENSION.format(h=1000) + "f1 = x1 mod p^1\n", _both(EXIT_BUDGET, _REFUSED)),
+    "extension-127": (_EXTENSION.format(h=127) + "f1 = x1 mod p^1\n",
+                      {"bound": (EXIT_OK, "applicable.ax_katz=true\n")}),
+    # 2^24 - 3 points are within the budget, but the kernel built objects per
+    # element of F_q and died of MemoryError after 30 s; the bounds need none
+    "huge-field": (_ONE_COLUMN.replace("p = 2", "p = 16777213") + "f1 = x1 mod p^1\n",
+                   {"bound": (EXIT_OK, "applicable.ax_katz=true\n"),
+                    "count": (EXIT_BUDGET, _REFUSED), "verify": (EXIT_BUDGET, _REFUSED)}),
+    # the kernel lifted tau(a) to all 200000 levels below M' but reads only level 0
+    "deep-precision": (_ONE_COLUMN + "f1 = x1 + 1 mod p^200000\n",
+                       {"count": (EXIT_OK, "cardinality=0\n")}),
 }
 
 
-@pytest.mark.parametrize("command", ["bound", "verify"])
-@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+@pytest.mark.parametrize("name,command", [
+    pytest.param(name, command, id=f"{name}-{command}")
+    for name in sorted(HOSTILE_INPUTS) for command in HOSTILE_INPUTS[name][1]])
 def test_hostile_input_fails_fast(tmp_path, name, command):
     # each run gets 10 s and a 1.5 GB address space, capped in the child only
     import os
@@ -305,7 +327,8 @@ def test_hostile_input_fails_fast(tmp_path, name, command):
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
-    text, code, line = HOSTILE_INPUTS[name]
+    text, expected = HOSTILE_INPUTS[name]
+    code, line = expected[command]
     path = tmp_path / f"{name}.ini"
     path.write_bytes(text.encode("latin-1"))
     env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))

@@ -6,7 +6,8 @@ and `is_zero`; `count_zeros` must match it exactly on every instance.  The
 "components" corpus splits the columns into several components, and the
 "elimination" corpus links them in chains, cycles, stars, 2 x k grids and
 through generators, so the kernel sums columns out into residue histograms
-there instead of deciding each point.
+there instead of deciding each point; in a few of them several histograms
+are left, and each point is weighed by their convolution.
 """
 
 import os
@@ -177,11 +178,30 @@ def elimination_instance(rng, field, shape, n, m):
     return make_instance(box_make(field, n, m, generators), system)
 
 
+# (n, m, f_1, f_2, f_3) of connected systems of cubics that leave two or more
+# messages on the core, so each point is weighed by a convolution of histograms;
+# found by a random search over small systems
+WEIGHED = {
+    (2, 1): (5, 2, "-4*x3^2*x4 - x2^2*x4 + 4*x4^2*x5 - 2 mod p^1", "2*x3*x4^2 mod p^2",
+             "x1^2*x4 - 5*x5^3 - 2 mod p^2"),
+    (2, 2): (4, 1, "-x2*x3^2 mod p^1", "2*x2*x4^2 + 7*x1^3 - 3 mod p^1",
+             "5*x1^3 - x3^3 - 4*x1*x2^2 mod p^1"),
+    (3, 1): (5, 1, "-4*x4*x5^2 + x4^3 - 1 mod p^2", "-3*x3*x4^2 - 5*x3^3 - 2*x2*x4*x5 mod p^1",
+             "4*x3^3 + 4*x1^2*x4 - 4*x2^3 - 3 mod p^1"),
+}
+
+
+def weighed_instance(p, h):
+    n, m, *system = WEIGHED[(p, h)]
+    return parse_instance(f"[ring]\np = {p}\nh = {h}\n[problem]\nn = {n}\nm = {m}\n[system]\n"
+                          + "".join(f"f{k} = {f}\n" for k, f in enumerate(system, 1)))
+
+
 def corpus(p, h, kind):
     field = field_params(p, h)
     if kind == "elimination":
         rng = random.Random(f"{p}-{h}-elimination")
-        insts = []
+        insts = [weighed_instance(p, h)] if (p, h) in WEIGHED else []
         for shape in SHAPES:
             # the most columns a box of 2^9 points allows, or three up to 2^10
             m = 2 if field.q == 2 and shape != "grid" else 1
@@ -311,8 +331,10 @@ def test_elimination_corpus_covers_the_cases():
     kernels = [_Kernel(inst) for inst in insts]
     eliminated = [len(k.core) < inst.box.n for k, inst in zip(kernels, insts)]
     assert sum(eliminated) >= 2 * len(insts) / 3
-    # a message left over a column of the core, and a generator's reach summed out
+    # a message left over a column of the core, points weighed by several
+    # messages, and a generator's reach summed out
     assert any(place[1] is not None for k in kernels for _, place in k.pending)
+    assert {inst.field.h for k, inst in zip(kernels, insts) if len(k.pending) >= 2} == {1, 2}
     assert any(done and len(k.reach[0]) > 1 for k, done in zip(kernels, eliminated))
 
 

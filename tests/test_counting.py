@@ -153,3 +153,27 @@ def test_separable_count_runs_in_bounded_memory(tmp_path):
     assert proc.stdout.startswith("cardinality=1\n")
     # the peak of the largest child of this process so far, in KiB
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 100 * 1024
+
+
+def test_column_past_the_cap_runs_in_bounded_memory(tmp_path):
+    # n = 1, m = 20: the one column takes 2^20 values, past HISTOGRAM_CAP, so
+    # its tables are computed by blocks as they are read and never held whole;
+    # the child reports its own peak, since earlier children may have used more
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wittbox
+
+    path = tmp_path / "column.ini"
+    path.write_text("[ring]\np = 2\n[problem]\nn = 1\nm = 20\n[system]\n"
+                    "f1 = 3*x1^2 + x1 mod p^20\n")
+    child = ("import resource, sys\nfrom wittbox.cli import main\nmain(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, "count", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    *report, peak = proc.stdout.splitlines()
+    assert report == ["cardinality=2", "ord_p=1", "ord_q=1/1"], proc.stdout + proc.stderr
+    assert int(peak) < 100 * 1024  # KiB
