@@ -12,7 +12,7 @@ from functools import partial
 from itertools import chain
 from operator import lshift
 
-from .errors import ConfigError, ExactDivisionError, ValidationError
+from .errors import ConfigError, ValidationError
 from .fqfield import FieldParams, GRElem, fq, gr_one, gr_zero, power
 
 
@@ -179,8 +179,9 @@ class MultiPoly:
             other = MultiPoly.constant(self.domain, self.variables, other)
         self._check(other)
         slots = _slots(len(self.variables), _top(self.terms) + _top(other.terms))
-        product = _packed_mul(self.domain, _pack(self.terms, slots), _pack(other.terms, slots))
-        return self._unpacked(product, slots)
+        product = _packed_mul(_pack(self.terms, slots), _pack(other.terms, slots),
+                              self.domain.zero)
+        return _unpack(self.domain, self.variables, product, slots)
 
     __rmul__ = __mul__
 
@@ -191,29 +192,8 @@ class MultiPoly:
         if e == 0:
             return MultiPoly.constant(self.domain, self.variables, self.domain.one)
         slots = _slots(len(self.variables), _top(self.terms) * e)
-        product = power(_pack(self.terms, slots), e, partial(_packed_mul, self.domain))
-        return self._unpacked(product, slots)
-
-    def _unpacked(self, packed, slots):
-        """A polynomial in this context from packed (key, coefficient) pairs."""
-        shifts, mask = slots
-        out = MultiPoly.__new__(MultiPoly)
-        out.domain, out.variables = self.domain, self.variables
-        out.terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed}
-        return out
-
-    def exact_div_int(self, c: int):
-        """Divide every coefficient by c; every coefficient must be divisible."""
-        if not isinstance(self.domain, IntegerDomain):
-            raise ConfigError("exact integer division needs integer coefficients")
-        terms = {}
-        for e, coeff in self.terms.items():
-            if coeff % c != 0:
-                raise ExactDivisionError(f"coefficient {coeff} not divisible by {c}")
-            terms[e] = coeff // c
-        out = MultiPoly.__new__(MultiPoly)
-        out.domain, out.variables, out.terms = self.domain, self.variables, terms
-        return out
+        product = power(_pack(self.terms, slots), e, partial(_packed_mul, zero=self.domain.zero))
+        return _unpack(self.domain, self.variables, product, slots)
 
     # -- degrees ------------------------------------------------------------
 
@@ -297,23 +277,21 @@ class MultiPoly:
         """Canonical text form: graded-lex term order, explicit `*` and `^`."""
         if not self.terms:
             return "0"
-        ordered = sorted(
-            self.terms.items(),
-            key=lambda item: (-sum(item[0]), tuple(-x for x in item[0])),
-        )
+        terms, names = self.terms, self.variables
+        integer = isinstance(self.domain, IntegerDomain)
         pieces = []
-        for exps, c in ordered:
+        for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            c = terms[exps]
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, exps)
+                for name, e in zip(names, exps)
                 if e
             )
-            if isinstance(c, int):
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
+            if integer:
+                mag = -c if c < 0 else c
                 body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
+                pieces.append((" - " if c < 0 else " + ") + body)
             else:
-                sign = "+"
                 lit = self.domain.render(c)
                 if mono and lit == "1":
                     body = mono
@@ -322,12 +300,9 @@ class MultiPoly:
                     body = f"{lit}*{mono}"
                 else:
                     body = lit
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                pieces.append(" + " + body)
+        out = "".join(pieces)
+        return ("-" if out[1] == "-" else "") + out[3:]
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
@@ -353,23 +328,28 @@ def _slots(arity: int, top: int):
 
 
 def _pack(terms, slots):
-    """[(packed key, coefficient)] for a tuple-keyed term dict."""
+    """{packed key: coefficient} for a tuple-keyed term dict."""
     shifts = slots[0]
-    return [(sum(map(lshift, exps, shifts)), c) for exps, c in terms.items()]
+    return {sum(map(lshift, exps, shifts)): c for exps, c in terms.items()}
 
 
-def _packed_mul(dom, a, b):
-    """Product of two packed term lists, zero coefficients dropped."""
+def _unpack(domain, variables, packed, slots):
+    """The polynomial over `domain` in `variables` with the given packed terms."""
+    shifts, mask = slots
+    out = MultiPoly.__new__(MultiPoly)
+    out.domain, out.variables = domain, variables
+    out.terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
+    return out
+
+
+def _packed_mul(a, b, zero=0):
+    """Product of two packed term dicts, zero coefficients dropped: the one
+    product kernel, shared by `MultiPoly` and the Witt recursion."""
     acc = {}
-    for k1, c1 in a:
+    get = acc.get
+    b = list(b.items())
+    for k1, c1 in a.items():
         for k2, c2 in b:
             k = k1 + k2
-            if k in acc:
-                acc[k] = acc[k] + c1 * c2
-            else:
-                acc[k] = c1 * c2
-    out = []
-    for k, c in acc.items():
-        if not dom.is_zero(c):
-            out.append((k, c))
-    return out
+            acc[k] = get(k, zero) + c1 * c2
+    return {k: c for k, c in acc.items() if c != zero}

@@ -7,32 +7,49 @@ The r-fold coordinates are computed directly from the r-fold ghost recursion
     P_n = (1/p^n) * (G_n - sum_{i<n} p^i P_i^{p^(n-i)}),
 
 where G_n is the sum (resp. product) of the ghost components of the r
-argument vectors.  The division is exact over Z; a remainder would mean the
-polynomial arithmetic itself is broken and aborts loudly.
+argument vectors.  The division is exact over Z for prime p; a remainder
+means p is not prime or the arithmetic is broken, and aborts loudly.
+
+The recursion runs on packed exponent keys (see `poly._pack`) in one slot
+layout per call, wide enough for p^n, the largest exponent any of its terms
+reaches, and unpacks to `MultiPoly` once, for the result.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
 from .fqfield import power
-from .poly import MultiPoly, ZZ
+from .poly import ZZ, _pack, _packed_mul, _slots, _top, _unpack
 
 SUM = "sum"
 PRODUCT = "product"
 # A product of the recursion, powers included, is refused before it is
 # expanded when its factors' terms make more than this many pairs.  The
-# (p, n, r) = (5, 3, 3) product peaks at 197 * 144722 pairs and takes about a
-# minute; the (5, 3, 3) sum needs 15939^2 for P_1^16 and ran for many minutes.
+# (p, n, r) = (5, 3, 3) product peaks at 197 * 144722 pairs and takes about
+# 40 s; the (5, 3, 3) sum needs 15939^2 for P_1^16 and ran for many minutes.
 MAX_WITT_PAIRS = 1 << 25
 _REFUSAL = f"the Witt recursion needs a product of more than {MAX_WITT_PAIRS} term pairs"
 
 
-def _checked_mul(f, g):
-    if len(f.terms) * len(g.terms) > MAX_WITT_PAIRS:
+def _product(a, b):
+    """a * b on packed term dicts, refused past `MAX_WITT_PAIRS` term pairs."""
+    if len(a) * len(b) > MAX_WITT_PAIRS:
         raise BudgetError(_REFUSAL)
-    return f * g
+    return _packed_mul(a, b)
+
+
+def _add_scaled(acc, terms, scale):
+    """acc += scale * terms on packed term dicts, in place; a coefficient that
+    cancels is deleted."""
+    get = acc.get
+    for key, c in terms.items():
+        s = get(key, 0) + scale * c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
 
 
 def witt_variable_names(n: int, r: int):
@@ -56,12 +73,12 @@ def witt_var(n: int, r: int, i: int, j: int) -> str:
     return f"x{i}{j}"
 
 
-def _witt_sum(p: int, k: int, xs, names) -> MultiPoly:
-    """sum_i p^i xs[i]^(p^(k-i)): the Witt polynomial w_k at xs[0..k], or the
-    first len(xs) of its terms."""
-    total = MultiPoly.zero(ZZ, names)
+def _witt_sum(p: int, k: int, xs):
+    """sum_i p^i xs[i]^(p^(k-i)) on packed term dicts: the Witt polynomial w_k
+    at xs[0..k], or the first len(xs) of its terms."""
+    total = {}
     for i, x in enumerate(xs):
-        total = total + power(x, p ** (k - i), _checked_mul) * (p ** i)
+        _add_scaled(total, power(x, p ** (k - i), _product), p ** i)
     return total
 
 
@@ -70,29 +87,45 @@ def witt_op_polys(p: int, n: int, r: int, kind: str):
     """The coordinates [P_0^(r), ..., P_n^(r)] of the r-fold Witt sum/product."""
     if n < 0 or r < 2:
         raise ValidationError("need n >= 0 and r >= 2")
+    if p < 2:
+        raise ValidationError("need p >= 2")
     if kind not in (SUM, PRODUCT):
         raise ValidationError(f"unknown kind {kind!r}")
     names = witt_variable_names(n, r)
+    slots = _slots(len(names), p ** n)
     polys = []
     for k in range(n + 1):
-        g = _ghost_combination(p, k, n, r, kind, names) - _witt_sum(p, k, polys[:k], names)
-        polys.append(g.exact_div_int(p ** k))
-    return tuple(polys)
+        g = _ghost_combination(p, k, r, kind, slots[0])
+        _add_scaled(g, _witt_sum(p, k, polys), -1)
+        polys.append(_exact_div(g, p ** k))
+    return tuple(_unpack(ZZ, names, poly, slots) for poly in polys)
 
 
-def _ghost_combination(p, k, n, r, kind, names):
-    """G_k: the sum (resp. product) of the k-th ghost components of the r arguments."""
-    ghosts = [_witt_sum(p, k, [MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
-                               for i in range(k + 1)], names)
-              for j in range(1, r + 1)]
+def _exact_div(terms, d):
+    """terms / d on a packed term dict; every coefficient must be divisible."""
+    out = {}
+    for key, c in terms.items():
+        q, rem = divmod(c, d)
+        if rem:
+            raise ExactDivisionError(f"coefficient {c} not divisible by {d}")
+        out[key] = q
+    return out
+
+
+def _ghost_combination(p, k, r, kind, shifts):
+    """G_k on packed keys: the sum (resp. product) of the k-th ghost components
+    of the r arguments, digit i of argument j (from 0) in the slot at
+    shifts[i * r + j]."""
+    ghosts = [_witt_sum(p, k, [{1 << shifts[i * r + j]: 1} for i in range(k + 1)])
+              for j in range(r)]
     if kind == SUM:
-        g = MultiPoly.zero(ZZ, names)
+        g = {}
         for gh in ghosts:
-            g = g + gh
+            _add_scaled(g, gh, 1)
     else:
-        g = MultiPoly.constant(ZZ, names, 1)
+        g = {0: 1}
         for gh in ghosts:
-            g = _checked_mul(g, gh)
+            g = _product(g, gh)
     return g
 
 
@@ -109,10 +142,19 @@ def twisted_digit_polys(p: int, n: int, r: int, kind: str):
 
 
 def ghost_identity_holds(p: int, n: int, r: int, kind: str, polys) -> bool:
-    """Whether w_k(P_0..P_k) equals the sum/product of ghost components for all k <= n."""
+    """Whether w_k(P_0..P_k) equals the sum/product of ghost components for all k <= n.
+
+    The slots hold top(polys) * p^n, the largest exponent of w_k(P_0..P_k),
+    so a term of a mutated P_i cannot carry into another variable's slot.
+    """
     names = witt_variable_names(n, r)
+    if any(f.domain != ZZ or f.variables != names for f in polys):
+        raise ConfigError("polynomials from different contexts")
+    top = max((_top(f.terms) for f in polys), default=0)
+    slots = _slots(len(names), max(top, 1) * p ** n)
+    packed = [_pack(f.terms, slots) for f in polys]
     for k in range(n + 1):
-        if _witt_sum(p, k, polys[:k + 1], names) != _ghost_combination(p, k, n, r, kind, names):
+        if _witt_sum(p, k, packed[:k + 1]) != _ghost_combination(p, k, r, kind, slots[0]):
             return False
     return True
 

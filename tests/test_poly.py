@@ -1,6 +1,6 @@
 import pytest
 
-from wittbox.errors import ConfigError, ExactDivisionError, ValidationError
+from wittbox.errors import ConfigError, ValidationError
 from wittbox.fqfield import field_params, fq
 from wittbox.poly import FieldDomain, IntegerDomain, MultiPoly, ZZ
 
@@ -40,13 +40,6 @@ def test_mixed_context_rejected():
     other = MultiPoly.variable(ZZ, ("a", "b"), "a")
     with pytest.raises(ConfigError):
         X + other
-
-
-def test_exact_division():
-    f = X * 6 + Y * 4
-    assert f.exact_div_int(2).terms == {(1, 0): 3, (0, 1): 2}
-    with pytest.raises(ExactDivisionError):
-        f.exact_div_int(4)
 
 
 def test_degrees():

@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from wittbox.errors import ValidationError
+from wittbox import witt
+from wittbox.errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
+from wittbox.fqfield import power
 from wittbox.poly import MultiPoly, ZZ
 from wittbox.witt import (
     PRODUCT,
     SUM,
-    _witt_sum,
     ghost_check,
     ghost_identity_holds,
     twisted_digit_polys,
@@ -17,18 +18,124 @@ from wittbox.witt import (
 )
 
 
+# -- reference recursion ------------------------------------------------------
+#
+# The ghost recursion on whole `MultiPoly`s: every product is a
+# `MultiPoly.__mul__` in its own slot layout, and scaling, subtraction and
+# division go term by term on exponent tuples.  It charges `MAX_WITT_PAIRS`
+# on the same products as `witt_op_polys`, so refusals must agree too.
+
+
+def _ref_checked_mul(f, g):
+    if len(f.terms) * len(g.terms) > witt.MAX_WITT_PAIRS:
+        raise BudgetError(witt._REFUSAL)
+    return f * g
+
+
+def _ref_witt_sum(p, k, xs, names):
+    """sum_i p^i xs[i]^(p^(k-i)): w_k at xs[0..k], or its first len(xs) terms."""
+    total = MultiPoly.zero(ZZ, names)
+    for i, x in enumerate(xs):
+        total = total + power(x, p ** (k - i), _ref_checked_mul) * (p ** i)
+    return total
+
+
+def _ref_ghost_combination(p, k, n, r, kind, names):
+    ghosts = [_ref_witt_sum(p, k, [MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
+                                   for i in range(k + 1)], names)
+              for j in range(1, r + 1)]
+    if kind == SUM:
+        g = MultiPoly.zero(ZZ, names)
+        for gh in ghosts:
+            g = g + gh
+    else:
+        g = MultiPoly.constant(ZZ, names, 1)
+        for gh in ghosts:
+            g = _ref_checked_mul(g, gh)
+    return g
+
+
+def _ref_exact_div(f, d):
+    terms = {}
+    for e, c in f.terms.items():
+        if c % d != 0:
+            raise ExactDivisionError(f"coefficient {c} not divisible by {d}")
+        terms[e] = c // d
+    return MultiPoly(ZZ, f.variables, terms)
+
+
+def reference_op_polys(p, n, r, kind):
+    names = witt_variable_names(n, r)
+    polys = []
+    for k in range(n + 1):
+        g = _ref_ghost_combination(p, k, n, r, kind, names) - _ref_witt_sum(p, k, polys, names)
+        polys.append(_ref_exact_div(g, p ** k))
+    return tuple(polys)
+
+
+def _outcome(op_polys, *args):
+    """The coordinates, or the type and message of the refusal."""
+    try:
+        return op_polys(*args)
+    except (BudgetError, ExactDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def fresh_cache():
+    witt.witt_op_polys.cache_clear()
+    yield
+    witt.witt_op_polys.cache_clear()
+
+
+ORACLE_CASES = [(p, n, r, kind) for p in (2, 3, 5) for n in range(4) for r in (2, 3)
+                for kind in (SUM, PRODUCT) if (p, n) != (5, 3)]
+
+
+@pytest.mark.parametrize("p,n,r,kind", ORACLE_CASES)
+def test_op_polys_match_reference(p, n, r, kind):
+    assert witt_op_polys(p, n, r, kind) == reference_op_polys(p, n, r, kind)
+
+
+@pytest.mark.parametrize("cap", [20, 300, 5000])
+@pytest.mark.parametrize("p,n,r,kind", [c for c in ORACLE_CASES if c[1] >= 2])
+def test_refusals_match_reference(p, n, r, kind, cap, monkeypatch, fresh_cache):
+    monkeypatch.setattr(witt, "MAX_WITT_PAIRS", cap)
+    assert _outcome(witt_op_polys, p, n, r, kind) == _outcome(reference_op_polys, p, n, r, kind)
+
+
+@pytest.mark.parametrize("p,n,r", [(4, 1, 2), (4, 2, 3), (6, 1, 2), (9, 1, 3)])
+def test_composite_p_leaves_a_remainder(p, n, r, fresh_cache):
+    # the ghost recursion is integral only for prime p
+    got = _outcome(witt_op_polys, p, n, r, SUM)
+    assert got[0] is ExactDivisionError
+    assert got == _outcome(reference_op_polys, p, n, r, SUM)
+
+
+def test_refusal_is_pinned_to_the_largest_product(monkeypatch, fresh_cache):
+    # the (3, 3, 3) sum's largest charged product is 161 * 2405 = 387,205 pairs
+    monkeypatch.setattr(witt, "MAX_WITT_PAIRS", 161 * 2405)
+    assert len(witt_op_polys(3, 3, 3, SUM)) == 4
+    witt.witt_op_polys.cache_clear()
+    monkeypatch.setattr(witt, "MAX_WITT_PAIRS", 161 * 2405 - 1)
+    with pytest.raises(BudgetError) as refused:
+        witt_op_polys(3, 3, 3, SUM)
+    assert str(refused.value) == (
+        "the Witt recursion needs a product of more than 33554432 term pairs")
+
+
 def test_witt_poly_small():
     def w(k):
         names = tuple(f"X{i}" for i in range(k + 1))
         xs = [MultiPoly.variable(ZZ, names, name) for name in names]
-        return _witt_sum(2, k, xs, names)
+        return _ref_witt_sum(2, k, xs, names)
 
     assert w(0).terms == {(1,): 1}
     assert w(2).terms == {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 4}  # X0^4 + 2 X1^2 + 4 X2
     # a prefix of the variables gives the first terms of w_k only
     names = ("X0", "X1", "X2")
     xs = [MultiPoly.variable(ZZ, names, name) for name in names[:2]]
-    assert _witt_sum(2, 2, xs, names).terms == {(4, 0, 0): 1, (0, 2, 0): 2}
+    assert _ref_witt_sum(2, 2, xs, names).terms == {(4, 0, 0): 1, (0, 2, 0): 2}
 
 
 def test_variable_names():
@@ -107,6 +214,64 @@ def test_ghost_negative_control():
     assert not ghost_identity_holds(2, 1, 2, SUM, polys)
 
 
+def _bump(poly, p, n):
+    """One coefficient plus 1."""
+    terms = dict(poly.terms)
+    e = min(terms)
+    terms[e] += 1
+    return terms
+
+
+def _drop(poly, p, n):
+    """One term removed."""
+    terms = dict(poly.terms)
+    del terms[min(terms)]
+    return terms
+
+
+def _wide(poly, p, n):
+    """A term x^(p^n + 1) on the last variable, past any exponent of the coordinates."""
+    return {**poly.terms, (0,) * (len(poly.variables) - 1) + (p ** n + 1,): 1}
+
+
+def _aliased(poly, p, n):
+    """One term t moved to t * x_b^E / x_(b-1), for E = 2^bitlength(p^n) > p^n.
+
+    In slots only p^n wide, with x_(b-1) in the slot above x_b, x_b^E packs to
+    the key of x_(b-1), so a check that packed the mutated input that narrowly
+    would see P_k unchanged.
+    """
+    terms = dict(poly.terms)
+    e = next(e for e in sorted(terms) if any(e[:-1]))
+    b = next(i for i, x in enumerate(e[:-1]) if x) + 1
+    moved = list(e)
+    moved[b - 1] -= 1
+    moved[b] += 1 << (p ** n).bit_length()
+    terms[tuple(moved)] = terms.pop(e)
+    return terms
+
+
+@pytest.mark.parametrize("mutate", [_bump, _drop, _wide, _aliased])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("kind", [SUM, PRODUCT])
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
+def test_mutated_coordinates_break_the_ghost_identity(p, n, r, kind, mutate):
+    polys = witt_op_polys(p, n, r, kind)
+    assert ghost_identity_holds(p, n, r, kind, polys)
+    for k in range(n + 1):
+        mutated = list(polys)
+        mutated[k] = MultiPoly(ZZ, polys[k].variables, mutate(polys[k], p, n))
+        assert mutated[k] != polys[k]
+        assert not ghost_identity_holds(p, n, r, kind, mutated)
+
+
+def test_ghost_check_needs_the_coordinates_context():
+    polys = list(witt_op_polys(2, 1, 2, SUM))
+    polys[0] = MultiPoly.variable(ZZ, ("X0", "Y0"), "X0")
+    with pytest.raises(ConfigError):
+        ghost_identity_holds(2, 1, 2, SUM, polys)
+
+
 def test_twisted_polys():
     tw = twisted_digit_polys(2, 1, 2, SUM)
     # s1 = S1 with X1 -> X1^2, Y1 -> Y1^2 (level-1 variables squared)
@@ -119,5 +284,8 @@ def test_twisted_polys():
 def test_bad_inputs():
     with pytest.raises(ValidationError):
         witt_op_polys(2, 1, 1, SUM)
+    for p in (1, 0, -2):  # p = 0 crashed and p = -2 never returned
+        with pytest.raises(ValidationError):
+            witt_op_polys(p, 1, 2, SUM)
     with pytest.raises(ValidationError):
         witt_op_polys(2, 1, 2, "quotient")
