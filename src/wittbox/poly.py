@@ -344,12 +344,17 @@ def _unpack(domain, variables, packed, slots):
 
 def _packed_mul(a, b, zero=0):
     """Product of two packed term dicts, zero coefficients dropped: the one
-    product kernel, shared by `MultiPoly` and the Witt recursion."""
+    product kernel, shared by `MultiPoly` and the Witt recursion.
+
+    A new key takes the product itself, not zero + product: over F_q that
+    addition would build one more element per key.
+    """
     acc = {}
     get = acc.get
     b = list(b.items())
     for k1, c1 in a.items():
         for k2, c2 in b:
             k = k1 + k2
-            acc[k] = get(k, zero) + c1 * c2
+            c = get(k)
+            acc[k] = c1 * c2 if c is None else c + c1 * c2
     return {k: c for k, c in acc.items() if c != zero}
