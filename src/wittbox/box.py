@@ -116,18 +116,16 @@ def box_enumerate(spec: BoxSpec, precision: int):
 def closeness_check(spec: BoxSpec, m_prime: int):
     """Degree test for B_m ~^{m'} T_m: deg g[i][j] <= p^(h*floor(i/h)) for i < m'.
 
-    Indices below m are degree-1 variables and always pass.  Returns the
-    verdict plus every violation as (i, j, degree, limit).
+    Indices below m are degree-1 variables and always pass, and a missing
+    generator is zero, so only the stored generators are read.  Returns the
+    verdict plus every violation as (i, j, degree, limit), in (i, j) order.
     """
     p = spec.field.p
     h = spec.field.h
     violations = []
-    for i in range(spec.m, m_prime):
-        limit = p ** (h * (i // h))
-        for j in range(1, spec.n + 1):
-            g = spec.generators.get((i, j))
-            if g is None:
-                continue
+    for (i, j), g in sorted(spec.generators.items()):
+        if i < m_prime:
+            limit = p ** (h * (i // h))
             deg = g.total_degree()
             if deg > limit:
                 violations.append((i, j, deg, limit))

@@ -505,7 +505,11 @@ def count_zeros(inst: ProblemInstance, budget: int = DEFAULT_BUDGET,
     """
     total = inst.box.base_size()
     if total > budget:
-        raise BudgetError(f"{total} points exceed the enumeration budget {budget}")
+        try:
+            size = str(total)
+        except ValueError:  # more digits than Python writes out
+            size = f"{inst.field.p}^{inst.field.h * inst.box.n * inst.box.m}"
+        raise BudgetError(f"{size} points exceed the enumeration budget {budget}")
     if partitions < 1:
         raise ValidationError("partitions must be >= 1")
     if inst.field.q > MAX_FIELD:

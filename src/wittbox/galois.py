@@ -44,23 +44,22 @@ def teichmuller_lift(a: GRElem, params: GRParams) -> GRElem:
 
 
 def to_digits(y: GRElem):
-    """Teichmuller digit vector (a_0, ..., a_{M-1}) with y = sum tau(a_i) p^i;
-    each digit is lifted once, at the first level it occurs at (lower levels
-    reduce that lift, since lifting commutes with reduction)."""
+    """Teichmuller digit vector (a_0, ..., a_{M-1}) with y = sum tau(a_i) p^i.
+
+    y - tau(a_0) is divisible by p over the integers, so digits are peeled off
+    by exact division.  Level i needs agreement only mod p^(M-i), so a digit
+    is lifted once, at the first level it occurs at."""
     params = y.params
     p = params.p
     digits = []
     lifts = {}
-    coeffs = list(y.coeffs)
+    coeffs = y.coeffs
     for i in range(params.precision):
-        level = params.precision - i
-        mod = p ** level
-        coeffs = [c % mod for c in coeffs]
         a = GRElem(params.field.ring, tuple(c % p for c in coeffs))
         digits.append(a)
         if a.coeffs not in lifts:
-            lifts[a.coeffs] = teichmuller_lift(a, GRParams(params.field, level)).coeffs
-        coeffs = [((c - t) % mod) // p for c, t in zip(coeffs, lifts[a.coeffs])]
+            lifts[a.coeffs] = teichmuller_lift(a, GRParams(params.field, params.precision - i)).coeffs
+        coeffs = [(c - t) // p for c, t in zip(coeffs, lifts[a.coeffs])]
     return tuple(digits)
 
 

@@ -135,7 +135,7 @@ class _ExprParser:
             ekind, eval_ = self._next()
             if ekind != "int":
                 self._fail("exponent must be an integer literal")
-            e = int(eval_)
+            e = _int(self.line, eval_)
             if _power_terms_bound(poly, e) > MAX_POWER_TERMS:
                 self._refuse(f"expanding `^{e}`")
             poly = poly ** e
@@ -144,7 +144,7 @@ class _ExprParser:
     def _atom(self):
         kind, val = self._next()
         if kind == "int":
-            return MultiPoly.constant(self.domain, self.variables, int(val))
+            return MultiPoly.constant(self.domain, self.variables, _int(self.line, val))
         if kind in ("boxvar", "name"):
             if val in self.variables:
                 return MultiPoly.variable(self.domain, self.variables, val)
@@ -249,12 +249,18 @@ def _section_keys(lines, allowed, section):
     return out
 
 
-def _int_value(entry, name):
-    lineno, value = entry
+def _int(line, text, name=None):
+    """int(text) for a number in the file, or a ParseError naming its line.
+
+    A `name`d value may be any text; a literal without one is a run of digits,
+    which int() refuses only past Python's limit on digits it converts.
+    """
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ParseError(f"{name} must be an integer, got {value!r}", lineno)
+        if name is None:
+            raise ParseError(f"integer literal of {len(text)} digits is too long", line) from None
+        raise ParseError(f"{name} must be an integer, got {text!r}", line) from None
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -269,8 +275,8 @@ def parse_instance(text: str) -> ProblemInstance:
     ring = _section_keys(sections["ring"], {"p", "h", "modulus"}, "ring")
     if "p" not in ring:
         raise ParseError("missing p in [ring]")
-    p = _int_value(ring["p"], "p")
-    h = _int_value(ring["h"], "h") if "h" in ring else 1
+    p = _int(*ring["p"], "p")
+    h = _int(*ring["h"], "h") if "h" in ring else 1
     modulus = None
     if "modulus" in ring:
         lineno, value = ring["modulus"]
@@ -281,13 +287,17 @@ def parse_instance(text: str) -> ProblemInstance:
     for key in ("n", "m"):
         if key not in problem:
             raise ParseError(f"missing {key} in [problem]")
-    n = _int_value(problem["n"], "n")
-    m = _int_value(problem["m"], "m")
+    n = _int(*problem["n"], "n")
+    m = _int(*problem["m"], "m")
     if n < 1 or m < 1:
         raise ParseError("n and m must be positive")
     if n * m > MAX_DIGIT_VARIABLES:
         line = problem["n" if n >= m else "m"][0]
-        raise BudgetError(f"line {line}: n*m = {n * m} digit variables exceed {MAX_DIGIT_VARIABLES}")
+        try:
+            size = str(n * m)
+        except ValueError:  # more digits than Python writes out
+            size = f"{n}*{m}"
+        raise BudgetError(f"line {line}: n*m = {size} digit variables exceed {MAX_DIGIT_VARIABLES}")
 
     sys_names = system_variable_names(n)
     system = []
@@ -296,12 +306,12 @@ def parse_instance(text: str) -> ProblemInstance:
         sm = _SYSTEM_RE.match(line)
         if not sm:
             raise ParseError("expected `f<k> = <expr> mod p^<mk>`", lineno)
-        k = int(sm.group(1))
+        k = _int(lineno, sm.group(1))
         if k in labels:
             raise ParseError(f"duplicate polynomial f{k}", lineno)
         labels.add(k)
         f = parse_poly(sm.group(2), ZZ, sys_names, line=lineno)
-        system.append((f, int(sm.group(3))))
+        system.append((f, _int(lineno, sm.group(3))))
     if not system:
         raise ParseError("empty [system] section")
 
@@ -313,7 +323,7 @@ def parse_instance(text: str) -> ProblemInstance:
             bm = _BOX_RE.match(line)
             if not bm:
                 raise ParseError("expected `g[<i>][<j>] = <expr>`", lineno)
-            i, j = int(bm.group(1)), int(bm.group(2))
+            i, j = _int(lineno, bm.group(1)), _int(lineno, bm.group(2))
             g = parse_poly(bm.group(3), dom, box_names, line=lineno, fq_params=field)
             if (i, j) in generators:
                 raise ParseError(f"duplicate generator g[{i}][{j}]", lineno)

@@ -43,9 +43,6 @@ class IntegerDomain:
     def is_zero(self, c):
         return c == 0
 
-    def render(self, c):
-        return str(c)
-
 
 class FieldDomain:
     __slots__ = ("params", "zero", "one")
@@ -77,9 +74,6 @@ class FieldDomain:
 
     def is_zero(self, c):
         return c.is_zero()
-
-    def render(self, c):
-        return c.render()
 
 
 ZZ = IntegerDomain()
@@ -235,10 +229,7 @@ class MultiPoly:
         if not isinstance(self.domain, FieldDomain):
             raise ConfigError("exponent reduction is defined over F_q only")
         q = self.domain.params.q
-        if q == 2:
-            cap = lambda e: min(e, 1)
-        else:
-            cap = lambda e: ((e - 1) % (q - 1)) + 1 if e > 0 else 0
+        cap = lambda e: ((e - 1) % (q - 1)) + 1 if e > 0 else 0
         terms = {}
         for e, c in self.terms.items():
             key = tuple(cap(x) for x in e)
@@ -292,7 +283,7 @@ class MultiPoly:
                 body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
                 pieces.append((" - " if c < 0 else " + ") + body)
             else:
-                lit = self.domain.render(c)
+                lit = c.render()
                 if mono and lit == "1":
                     body = mono
                 elif mono:

@@ -120,6 +120,52 @@ def test_closeness_h2_limits():
     assert violations == [(3, 1, 5, 4)]
 
 
+def reference_closeness(spec, m_prime):
+    """The level scan: every level from m to m'-1, every column at each level."""
+    p, h = spec.field.p, spec.field.h
+    violations = []
+    for i in range(spec.m, m_prime):
+        limit = p ** (h * (i // h))
+        for j in range(1, spec.n + 1):
+            g = spec.generators.get((i, j))
+            if g is None:
+                continue
+            deg = g.total_degree()
+            if deg > limit:
+                violations.append((i, j, deg, limit))
+    return (not violations), violations
+
+
+def _random_reduced(rng, field, names):
+    q = field.q
+    terms = {tuple(rng.randrange(q) for _ in names): from_index(field.ring, rng.randrange(1, q))
+             for _ in range(rng.randint(1, 3))}
+    return MultiPoly(FieldDomain(field), names, terms)
+
+
+def test_closeness_matches_level_scan_reference():
+    # generators go in out of (i, j) order, at levels below, at and above m'
+    rng = random.Random(5)
+    seen = {"violations": 0, "filtered": 0, "unsorted": 0}
+    for _ in range(300):
+        field = rng.choice((F2, F4, field_params(3)))
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        names = box_variable_names(n, m)
+        slots = [(i, j) for i in range(m, m + 6) for j in range(1, n + 1)]
+        chosen = rng.sample(slots, rng.randint(1, len(slots)))
+        spec = box_make(field, n, m, {ij: _random_reduced(rng, field, names) for ij in chosen})
+        for m_prime in range(m, m + 7):
+            expected = reference_closeness(spec, m_prime)
+            assert closeness_check(spec, m_prime) == expected
+            every = reference_closeness(spec, m + 6)[1]
+            seen["violations"] += bool(expected[1])
+            seen["filtered"] += len(every) > len(expected[1])
+            seen["unsorted"] += list(spec.generators) != sorted(spec.generators) and len(expected[1]) > 1
+    # the corpus reaches violations, ones the i < m' filter drops, and
+    # several violations from generators stored out of order
+    assert min(seen.values()) > 20, seen
+
+
 def test_box_from_table_roundtrip():
     g = var(F2, 2, 2, "x[0][1]") * var(F2, 2, 2, "x[1][2]")
     spec = box_make(F2, 2, 2, {(2, 1): g})

@@ -266,6 +266,8 @@ _BUDGET_NOTE = "note.improved=minimal-d enumeration budget exceeded\n"
 _D_NOTE = "note.improved=per-term degree condition satisfied by construction; d="
 _REFUSED = "error.kind=budget\n"
 _EXTENSION = _ONE_COLUMN.replace("p = 2\n", "p = 2\nh = {h}\nmodulus = t^{h} + t + 1\n")
+_LONG_POINTS = (EXIT_BUDGET, "error.message=2^1000000 points exceed the enumeration budget")
+_LONG_PRODUCT = (EXIT_BUDGET, f"error.message=line 5: n*m = {'1' * 4000}*{'2' * 4000} digit variables")
 
 
 def _both(code, line):
@@ -305,9 +307,29 @@ HOSTILE_INPUTS = {
     "huge-field": (_ONE_COLUMN.replace("p = 2", "p = 16777213") + "f1 = x1 mod p^1\n",
                    {"bound": (EXIT_OK, "applicable.ax_katz=true\n"),
                     "count": (EXIT_BUDGET, _REFUSED), "verify": (EXIT_BUDGET, _REFUSED)}),
-    # the kernel lifted tau(a) to all 200000 levels below M' but reads only level 0
+    # the kernel lifted tau(a) to all 200000 levels below M' but reads only
+    # level 0; to_digits and closeness_check worked at each of the levels
     "deep-precision": (_ONE_COLUMN + "f1 = x1 + 1 mod p^200000\n",
-                       {"count": (EXIT_OK, "cardinality=0\n")}),
+                       {"count": (EXIT_OK, "cardinality=0\n"), "bound": (EXIT_OK, _D_NOTE + "1\n")}),
+    "deeper-modulus": (_ONE_COLUMN + "f1 = x1 mod p^200000\n", _both(EXIT_OK, _D_NOTE + "1\n")),
+    # Python refuses to convert ints of more than 4300 digits to or from text
+    # (3.11+); each of these exited 1 with a ValueError traceback
+    **{f"long-{what}": (_ONE_COLUMN + text.format("1" * 4401) + "\n",
+                        dict.fromkeys(("count", "bound"), (EXIT_VALIDATION, f"error.message=line {line}: "
+                                                           "integer literal of 4401 digits is too long\n")))
+       for what, line, text in (
+           ("coefficient", 7, "f1 = {}*x1 mod p^2"), ("exponent", 7, "f1 = x1^{} mod p^2"),
+           ("modulus", 7, "f1 = x1 mod p^{}"), ("label", 7, "f{} = x1 mod p^2"),
+           ("generator-level", 9, "f1 = x1 mod p^2\n[box]\ng[{}][1] = x[0][1]"),
+           ("generator-column", 9, "f1 = x1 mod p^2\n[box]\ng[1][{}] = x[0][1]"))},
+    "long-point-count": (_ONE_COLUMN.replace("n = 1", "n = 1000000") + "f1 = x1 mod p^1\n",
+                         {"count": _LONG_POINTS, "verify": _LONG_POINTS}),
+    "long-problem": (_ONE_COLUMN.replace("n = 1", "n = " + "1" * 4000).replace("m = 1", "m = " + "2" * 4000)
+                     + "f1 = x1 mod p^1\n",
+                     {"count": _LONG_PRODUCT, "bound": _LONG_PRODUCT}),
+    # d = 10^6000 / 2^299 has about 5900 digits
+    "long-d": (_ONE_COLUMN + f"f1 = 2^299*(x1^{10 ** 3000})^{10 ** 3000} mod p^300\n",
+               _both(EXIT_OK, _BUDGET_NOTE)),
 }
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wittbox.errors import ConfigError, ValidationError
@@ -77,6 +79,63 @@ def test_digit_codec_roundtrip():
             assert from_digits(digits, params) == y
     # frozen oracle: 2 in GR(9,1) has digits (2, 1): 2 = tau(2) + 3*tau(1) = 8 + 3 mod 9
     assert tuple(d.coeffs for d in to_digits(int_to_gr(2, Z9))) == ((2,), (1,))
+
+
+def reference_to_digits(y):
+    """The level-by-level codec: at level i, reduce every coefficient mod
+    p^(M-i), read the digit mod p, and subtract its lift at that precision."""
+    params = y.params
+    p = params.p
+    digits = []
+    lifts = {}
+    coeffs = list(y.coeffs)
+    for i in range(params.precision):
+        level = params.precision - i
+        mod = p ** level
+        coeffs = [c % mod for c in coeffs]
+        a = GRElem(params.field.ring, tuple(c % p for c in coeffs))
+        digits.append(a)
+        if a.coeffs not in lifts:
+            lifts[a.coeffs] = teichmuller_lift(a, GRParams(params.field, level)).coeffs
+        coeffs = [((c - t) % mod) // p for c, t in zip(coeffs, lifts[a.coeffs])]
+    return tuple(digits)
+
+
+# (p, h) -> an irreducible modulus where no built-in one exists
+_CUBIC = {(3, 3): (1, 2, 0, 1), (5, 3): (1, 1, 0, 1)}  # t^3 + 2t + 1, t^3 + t + 1
+
+
+def _seeded_elements(rng, params, count):
+    char = params.char
+    return [GRElem(params, tuple(rng.randrange(char) for _ in range(params.h)))
+            for _ in range(count)]
+
+
+def test_to_digits_matches_level_by_level_reference():
+    rng = random.Random(11)
+    cases = []
+    for p in (2, 3, 5):
+        for h in (1, 2, 3):
+            field = field_params(p, h, _CUBIC.get((p, h)))
+            cases += [(GRParams(field, M), 2 if M <= 16 else 1)
+                      for M in (1, 2, rng.randint(3, 16), 64)]
+    cases += [(GRParams(field_params(2), 1000), 3), (GRParams(field_params(3, 2), 1000), 1)]
+    for params, count in cases:
+        lifts = {}
+        for y in _seeded_elements(rng, params, count) + [gr_zero(params), int_to_gr(-1, params)]:
+            digits = to_digits(y)
+            assert digits == reference_to_digits(y)
+            if params.precision <= 16:
+                assert from_digits(digits, params) == y
+                continue
+            # from_digits lifts every digit afresh, so the deep cases sum
+            # tau(a_i) p^i with one lift per distinct digit
+            total = gr_zero(params)
+            for i, a in enumerate(digits):
+                if a not in lifts:
+                    lifts[a] = teichmuller_lift(a, params)
+                total = total + lifts[a] * int_to_gr(params.p ** i, params)
+            assert total == y
 
 
 def test_from_digits_length_check():

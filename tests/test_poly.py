@@ -67,6 +67,10 @@ def test_field_domain_reduction():
     assert (x ** 3).reduce_exponents().terms == {(3,): fq(f9, 1)}
     assert not (x ** 9).is_reduced()
     assert (x ** 3).is_reduced()
+    # q = 2 takes the same formula: a positive exponent reduces to 1
+    f2 = field_params(2)
+    x, y = (MultiPoly.variable(FieldDomain(f2), ("x", "y"), v) for v in "xy")
+    assert (x ** 5 + x ** 2 * y).reduce_exponents().terms == {(1, 0): fq(f2, 1), (1, 1): fq(f2, 1)}
 
 
 def test_reduce_exponents_value_table_oracle():
