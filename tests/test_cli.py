@@ -313,7 +313,8 @@ HOSTILE_INPUTS = {
                        {"count": (EXIT_OK, "cardinality=0\n"), "bound": (EXIT_OK, _D_NOTE + "1\n")}),
     "deeper-modulus": (_ONE_COLUMN + "f1 = x1 mod p^200000\n", _both(EXIT_OK, _D_NOTE + "1\n")),
     # Python refuses to convert ints of more than 4300 digits to or from text
-    # (3.11+); each of these exited 1 with a ValueError traceback
+    # (by default, from 3.10.7 and 3.11 on); each of these exited 1 with a
+    # ValueError traceback
     **{f"long-{what}": (_ONE_COLUMN + text.format("1" * 4401) + "\n",
                         dict.fromkeys(("count", "bound"), (EXIT_VALIDATION, f"error.message=line {line}: "
                                                            "integer literal of 4401 digits is too long\n")))

@@ -125,11 +125,11 @@ def test_to_digits_matches_level_by_level_reference():
         for y in _seeded_elements(rng, params, count) + [gr_zero(params), int_to_gr(-1, params)]:
             digits = to_digits(y)
             assert digits == reference_to_digits(y)
-            if params.precision <= 16:
+            if params.precision <= 64:
                 assert from_digits(digits, params) == y
                 continue
-            # from_digits lifts every digit afresh, so the deep cases sum
-            # tau(a_i) p^i with one lift per distinct digit
+            # from_digits lifts every digit afresh, a minute at M = 1000 over
+            # F_9, so the deep cases sum tau(a_i) p^i with one lift per digit
             total = gr_zero(params)
             for i, a in enumerate(digits):
                 if a not in lifts:
