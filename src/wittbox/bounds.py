@@ -129,15 +129,6 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
     return need
 
 
-def _decimals(values) -> str:
-    """The values in decimal, comma-separated; one with more digits than Python
-    writes out is refused like an over-budget search."""
-    try:
-        return ",".join(map(str, values))
-    except ValueError:
-        raise BudgetError("a value too long to write out") from None
-
-
 @dataclass
 class BoundEntry:
     name: str
@@ -200,8 +191,8 @@ def bound_report(inst: ProblemInstance, count: CountReport | None = None,
 
     try:
         d_list = [minimal_d(inst, k) for k in range(s)]
-        improved_note = "per-term degree condition satisfied by construction; d=" + _decimals(d_list)
-    except BudgetError:
+        improved_note = "per-term degree condition satisfied by construction; d=" + ",".join(map(str, d_list))
+    except (BudgetError, ValueError):  # ValueError: a d with more digits than str() writes
         d_list = None
         improved_note = "minimal-d enumeration budget exceeded"
 

@@ -53,7 +53,6 @@ def homogeneity_suite():
     results = []
     for p in (2, 3):
         for r in (2, 3):
-            names = witt_variable_names(max_n, r)
             unit_weights = {
                 witt_var(max_n, r, i, j): p ** i
                 for i in range(max_n + 1)
@@ -82,7 +81,6 @@ def degree_bound_suite():
     results = []
     for p in (2, 3):
         for r in (2, 3):
-            names = witt_variable_names(max_n, r)
             for d_choice in product((1, 2), repeat=r):
                 weights = {
                     witt_var(max_n, r, i, j): d_choice[j - 1] * p ** i
@@ -143,7 +141,6 @@ def vanishing_suite():
         params = GRParams(field, m)
         for r in range(2, 4):
             polys = twisted_digit_polys(2, m - 1, r, SUM)
-            names = witt_variable_names(m - 1, r)
             ok = True
             for tup in product(elems, repeat=m * r):
                 # tup is indexed i-major: entry (i, j) at position i*r + (j-1)

@@ -8,10 +8,12 @@ Each validates the other; the cross-check is a permanent test.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import ConfigError, ValidationError
 # GRParams and GRElem live in fqfield, which needs them for F_q.
-from .fqfield import GRElem, GRParams, gr_zero
-from .witt import witt_op_polys, witt_var
+from .fqfield import GRElem, GRParams, gr_zero, polymul_mod, power
+from .witt import twisted_digit_polys, witt_var
 from .poly import FieldDomain
 
 
@@ -28,37 +30,41 @@ def reduce_precision(y: GRElem, m: int) -> GRElem:
 
 
 def teichmuller_lift(a: GRElem, params: GRParams) -> GRElem:
-    """The unique z with z = a mod p and z^q = z, via M-1 Frobenius iterations.
-
-    Each z -> z^q step gains one digit of agreement with the fixed point, so
-    exactly precision-1 iterations suffice; no fixed-point polling.
-    """
-    ring = params.field.ring
-    if a.params is not ring and a.params != ring:
+    """The unique z with z = a mod p and z^q = z, by Newton's step for
+    z^(q-1) = 1, z -> z (q - z^(q-1)) / (q - 1), where q - 1 is a unit mod p.
+    Each step doubles the digits of agreement, k -> min(2k, M)."""
+    field = params.field
+    if a.params is not field.ring and a.params != field.ring:
         raise ConfigError("field mismatch in Teichmuller lift")
-    z = GRElem(params, a.coeffs)
-    q = params.field.q
-    for _ in range(params.precision - 1):
-        z = z ** q
-    return z
+    q = field.q
+    z, k = a.coeffs, 1
+    while k < params.precision:
+        k = min(2 * k, params.precision)
+        mod = field.p ** k
+        mul = partial(polymul_mod, field.modulus, mod)
+        inv = pow(q - 1, -1, mod)
+        step = [-c * inv % mod for c in power(z, q - 1, mul)]
+        step[0] = (step[0] + q * inv) % mod
+        z = mul(z, step)
+    return GRElem(params, z)
 
 
 def to_digits(y: GRElem):
     """Teichmuller digit vector (a_0, ..., a_{M-1}) with y = sum tau(a_i) p^i.
 
     y - tau(a_0) is divisible by p over the integers, so digits are peeled off
-    by exact division.  Level i needs agreement only mod p^(M-i), so a digit
-    is lifted once, at the first level it occurs at."""
+    by exact division.  Each distinct digit is lifted once, at the full
+    precision, which level i needs only mod p^(M-i)."""
     params = y.params
     p = params.p
     digits = []
     lifts = {}
     coeffs = y.coeffs
-    for i in range(params.precision):
+    for _ in range(params.precision):
         a = GRElem(params.field.ring, tuple(c % p for c in coeffs))
         digits.append(a)
         if a.coeffs not in lifts:
-            lifts[a.coeffs] = teichmuller_lift(a, GRParams(params.field, params.precision - i)).coeffs
+            lifts[a.coeffs] = teichmuller_lift(a, params).coeffs
         coeffs = [(c - t) // p for c, t in zip(coeffs, lifts[a.coeffs])]
     return tuple(digits)
 
@@ -75,25 +81,19 @@ def from_digits(digits, params: GRParams) -> GRElem:
 def witt_digit_op(a, b, kind: str, params: GRParams):
     """Combine two digit vectors through the truncated Witt ring.
 
-    Witt coordinates carry the Frobenius twist c_i = digit_i^(p^i); the S/M
-    coordinate polynomials act on the twisted coordinates over F_q, and the
-    results are untwisted by the i-fold inverse Frobenius.
+    The twisted S/M polynomials s_i/m_i carry the Frobenius twist
+    x_i -> x_i^(p^i) of the Witt coordinates; they act on the digits over
+    F_q, and the results are untwisted by the i-fold inverse Frobenius.
     """
     if len(a) != len(b):
         raise ValidationError("digit vectors of different lengths")
     if len(a) != params.precision:
         raise ValidationError("digit vector length must equal the precision")
     m = params.precision
-    p = params.p
-    field = params.field
-    polys = witt_op_polys(p, m - 1, 2, kind)
     assignment = {}
     for i in range(m):
-        assignment[witt_var(m - 1, 2, i, 1)] = a[i].frobenius(i)
-        assignment[witt_var(m - 1, 2, i, 2)] = b[i].frobenius(i)
-    dom = FieldDomain(field)
-    out = []
-    for i, poly in enumerate(polys):
-        value = poly.evaluate(assignment, coerce=dom.coerce)
-        out.append(value.frobenius_inverse(i))
-    return tuple(out)
+        assignment[witt_var(m - 1, 2, i, 1)] = a[i]
+        assignment[witt_var(m - 1, 2, i, 2)] = b[i]
+    dom = FieldDomain(params.field)
+    return tuple(poly.evaluate(assignment, coerce=dom.coerce).frobenius_inverse(i)
+                 for i, poly in enumerate(twisted_digit_polys(params.p, m - 1, 2, kind)))

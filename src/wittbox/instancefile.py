@@ -42,6 +42,9 @@ MAX_POWER_TERMS = 1 << 10
 # A [problem] with more free digit variables x[i][j] than this is refused
 # before their names are built: n*m = 2^22 names take about 6 s and 0.6 GB.
 MAX_DIGIT_VARIABLES = 1 << 20
+# A `mod p^e` past this exponent is refused before p^e is formed: e = 10^30
+# ran out of memory, and e = 10^7 ran past 20 s in big-integer work.
+MAX_MODULUS_EXPONENT = 1 << 18
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
@@ -311,7 +314,11 @@ def parse_instance(text: str) -> ProblemInstance:
             raise ParseError(f"duplicate polynomial f{k}", lineno)
         labels.add(k)
         f = parse_poly(sm.group(2), ZZ, sys_names, line=lineno)
-        system.append((f, _int(lineno, sm.group(3))))
+        mk = _int(lineno, sm.group(3))
+        if mk > MAX_MODULUS_EXPONENT:
+            raise BudgetError(f"line {lineno}: a modulus exponent above "
+                              f"{MAX_MODULUS_EXPONENT} is refused")
+        system.append((f, mk))
     if not system:
         raise ParseError("empty [system] section")
 

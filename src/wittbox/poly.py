@@ -40,9 +40,6 @@ class IntegerDomain:
     zero = 0
     one = 1
 
-    def is_zero(self, c):
-        return c == 0
-
 
 class FieldDomain:
     __slots__ = ("params", "zero", "one")
@@ -72,9 +69,6 @@ class FieldDomain:
             return fq(self.params, v)
         raise ConfigError(f"cannot coerce {v!r} into F_q")
 
-    def is_zero(self, c):
-        return c.is_zero()
-
 
 ZZ = IntegerDomain()
 
@@ -91,7 +85,7 @@ class MultiPoly:
             if len(exps) != arity:
                 raise ValidationError("exponent vector arity mismatch")
             c = domain.coerce(c)
-            if not domain.is_zero(c):
+            if c != domain.zero:
                 clean[tuple(exps)] = c
         self.terms = clean
 
@@ -143,11 +137,11 @@ class MultiPoly:
             other = MultiPoly.constant(self.domain, self.variables, other)
         self._check(other)
         terms = dict(self.terms)
-        dom = self.domain
+        zero = self.domain.zero
         for exps, c in other.terms.items():
             if exps in terms:
                 s = terms[exps] + c
-                if dom.is_zero(s):
+                if s == zero:
                     del terms[exps]
                 else:
                     terms[exps] = s

@@ -133,7 +133,6 @@ def _ghost_combination(p, k, r, kind, shifts):
 def twisted_digit_polys(p: int, n: int, r: int, kind: str):
     """s_n^(r) / m_n^(r): substitute x_ij -> x_ij^(p^i) in the S/M coordinates."""
     polys = witt_op_polys(p, n, r, kind)
-    names = witt_variable_names(n, r)
     factors = {}
     for i in range(n + 1):
         for j in range(1, r + 1):

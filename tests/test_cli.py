@@ -266,6 +266,7 @@ _BUDGET_NOTE = "note.improved=minimal-d enumeration budget exceeded\n"
 _D_NOTE = "note.improved=per-term degree condition satisfied by construction; d="
 _REFUSED = "error.kind=budget\n"
 _EXTENSION = _ONE_COLUMN.replace("p = 2\n", "p = 2\nh = {h}\nmodulus = t^{h} + t + 1\n")
+_DEEP_REFUSED = "error.message=line 7: a modulus exponent above 262144 is refused\n"
 _LONG_POINTS = (EXIT_BUDGET, "error.message=2^1000000 points exceed the enumeration budget")
 _LONG_PRODUCT = (EXIT_BUDGET, f"error.message=line 5: n*m = {'1' * 4000}*{'2' * 4000} digit variables")
 
@@ -312,6 +313,16 @@ HOSTILE_INPUTS = {
     "deep-precision": (_ONE_COLUMN + "f1 = x1 + 1 mod p^200000\n",
                        {"count": (EXIT_OK, "cardinality=0\n"), "bound": (EXIT_OK, _D_NOTE + "1\n")}),
     "deeper-modulus": (_ONE_COLUMN + "f1 = x1 mod p^200000\n", _both(EXIT_OK, _D_NOTE + "1\n")),
+    # the lift took M - 1 q-th powers at full precision: 15.8 s here over F_9,
+    # and past 60 s at p^20000 over F_3
+    "deep-extension-field": (_ONE_COLUMN.replace("p = 2\n", "p = 3\nh = 2\n") + "f1 = x1 + 1 mod p^4000\n",
+                             {"count": (EXIT_OK, "cardinality=1\n"), "bound": (EXIT_OK, _D_NOTE + "1\n")}),
+    "deep-odd-prime": (_ONE_COLUMN.replace("p = 2", "p = 3") + "f1 = 2*x1 + 5 mod p^20000\n",
+                       {"count": (EXIT_OK, "cardinality=0\n"), "bound": (EXIT_OK, _D_NOTE + "1\n")}),
+    # p^e was formed unbounded: e = 10^30 died of MemoryError, e = 10^7 ran past 20 s
+    **{name: (_ONE_COLUMN + f"f1 = x1 mod p^{e}\n",
+              dict.fromkeys(("count", "bound", "verify"), (EXIT_BUDGET, _DEEP_REFUSED)))
+       for name, e in (("huge-modulus", 10 ** 30), ("deep-modulus-past-cap", 10 ** 7))},
     # Python refuses to convert ints of more than 4300 digits to or from text
     # (by default, from 3.10.7 and 3.11 on); each of these exited 1 with a
     # ValueError traceback

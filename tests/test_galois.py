@@ -59,6 +59,36 @@ def test_residue_and_reduce():
         reduce_precision(int_to_gr(6, Z8), 4)
 
 
+def reference_lift(a, params):
+    """The Frobenius iteration: M - 1 q-th powers at full precision, each of
+    which gains at least one digit of agreement with the fixed point."""
+    z = GRElem(params, a.coeffs)
+    for _ in range(params.precision - 1):
+        z = z ** params.field.q
+    return z
+
+
+# F_2, F_3, F_4, F_5, F_7, F_8, F_9 and F_25
+LIFT_FIELDS = [field_params(p, h)
+               for p, h in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2))]
+
+
+def test_teichmuller_lift_matches_frobenius_iteration():
+    for field in LIFT_FIELDS:
+        for M in (1, 2, 3, 4, 5, 8, 13, 16, 17, 40):
+            params = GRParams(field, M)
+            for a in fq_enumerate(field):
+                assert teichmuller_lift(a, params) == reference_lift(a, params)
+
+
+def test_deep_teichmuller_lift_is_the_fixed_point():
+    params = GRParams(field_params(3, 2), 4000)
+    for a in fq_enumerate(params.field):
+        z = teichmuller_lift(a, params)
+        assert reduce_precision(z, 1) == a
+        assert z ** params.field.q == z
+
+
 def test_teichmuller_fixed_points():
     for params in (Z8, Z9, GR4_2):
         q = params.field.q
@@ -96,7 +126,7 @@ def reference_to_digits(y):
         a = GRElem(params.field.ring, tuple(c % p for c in coeffs))
         digits.append(a)
         if a.coeffs not in lifts:
-            lifts[a.coeffs] = teichmuller_lift(a, GRParams(params.field, level)).coeffs
+            lifts[a.coeffs] = reference_lift(a, GRParams(params.field, level)).coeffs
         coeffs = [((c - t) % mod) // p for c, t in zip(coeffs, lifts[a.coeffs])]
     return tuple(digits)
 
@@ -121,21 +151,10 @@ def test_to_digits_matches_level_by_level_reference():
                       for M in (1, 2, rng.randint(3, 16), 64)]
     cases += [(GRParams(field_params(2), 1000), 3), (GRParams(field_params(3, 2), 1000), 1)]
     for params, count in cases:
-        lifts = {}
         for y in _seeded_elements(rng, params, count) + [gr_zero(params), int_to_gr(-1, params)]:
             digits = to_digits(y)
             assert digits == reference_to_digits(y)
-            if params.precision <= 64:
-                assert from_digits(digits, params) == y
-                continue
-            # from_digits lifts every digit afresh, a minute at M = 1000 over
-            # F_9, so the deep cases sum tau(a_i) p^i with one lift per digit
-            total = gr_zero(params)
-            for i, a in enumerate(digits):
-                if a not in lifts:
-                    lifts[a] = teichmuller_lift(a, params)
-                total = total + lifts[a] * int_to_gr(params.p ** i, params)
-            assert total == y
+            assert from_digits(digits, params) == y
 
 
 def test_from_digits_length_check():

@@ -183,3 +183,15 @@ def test_oversized_problem_is_refused_before_names_are_built():
         text = MINIMAL.replace("n = 2", f"n = {n}").replace("m = 1", f"m = {m}")
         with pytest.raises(BudgetError, match=f"^line {line}: n\\*m = {n * m} digit variables"):
             parse_instance(text)
+
+
+def test_deep_modulus_is_refused_before_p_to_the_e():
+    from wittbox.errors import BudgetError
+    from wittbox.instancefile import MAX_MODULUS_EXPONENT
+
+    assert MAX_MODULUS_EXPONENT == 2 ** 18
+    at_cap = parse_instance(MINIMAL.replace("p^1", f"p^{2 ** 18}"))
+    assert at_cap.moduli == (2 ** 18,)
+    for e in (2 ** 18 + 1, 10 ** 7, 10 ** 30):
+        with pytest.raises(BudgetError, match="^line 9: a modulus exponent above 262144"):
+            parse_instance(MINIMAL.replace("p^1", f"p^{e}"))

@@ -1,7 +1,7 @@
 """Property tests: packed-exponent MultiPoly products against a naive reference.
 
 The reference multiplies tuple-keyed term dicts with a plain double loop and
-drops zero coefficients with the domain's own coerce/is_zero, so it shares
+drops zero coefficients with the domain's own coerce and zero, so it shares
 nothing with the packed keys of `MultiPoly.__mul__`/`__pow__`.
 """
 
@@ -29,7 +29,7 @@ def naive_mul(f, g):
     terms = {}
     for key, c in acc.items():
         c = dom.coerce(c)
-        if not dom.is_zero(c):
+        if c != dom.zero:
             terms[key] = c
     return terms
 
