@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError
@@ -212,6 +212,15 @@ class _Kernel:
     Elimination stops before a message or its work would pass HISTOGRAM_CAP,
     or would cost more than enumerating the columns left, the core, in rows
     over its `inner` last columns.
+
+    A row of the core fixes all its columns but the `inner` last ones, and a
+    row of an elimination fixes the columns of its message.  The plan of each
+    splits the monomials once: one that reads only fixed columns is one
+    scalar per row; the sum of those that read only moving columns is
+    tabulated once per plan; a mixed one has its fixed factors multiplied
+    into its multiplier once per row, and only its moving factors are read
+    per point.  With no fixed column there is one row, and every monomial is
+    read per point.  The zeros of a row are counted with C-level maps.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -243,10 +252,16 @@ class _Kernel:
         if p == 2:
             mask = sum(pk - 1 << s for s, pk in slots)
             self.reduce = lambda v: v & mask
-            self.is_zero = lambda v: not v & mask
+            self.zeros = lambda row: list(map(mask.__and__, row)).count(0)
         else:
             self.reduce = lambda v: sum((v >> s & full) % pk << s for s, pk in slots)
-            self.is_zero = lambda v: not (v & full) % mods[0] and not self.reduce(v)
+
+            def zeros(row):  # the points left zero in each slot in turn
+                for s, pk in slots:
+                    row = list(compress(row, map(operator.not_, map(pk.__rmod__, map(
+                        full.__and__, map(operator.rshift, row, repeat(s)) if s else row)))))
+                return len(row)
+            self.zeros = zeros
         self.pack = (lambda v: v) if h == 1 else (lambda v: sum(map(operator.lshift, v, shifts)))
         self.basis = [gr.element([0] * r + [1]) for r in range(1, h)]  # t, ..., t^(h-1)
         self.apply = operator.mul if h == 1 else (lambda x, sums: sum(map(operator.mul, x, sums)))
@@ -324,7 +339,7 @@ class _Kernel:
                                    for hist in table], 0))
         self.pending = [(_held(table), self._place(sep, core, self.inner))
                         for sep, table, _ in messages]
-        self.terms = self._terms([t for s in scopes for t in self.factors[s]], core, self.inner)
+        self.plan = self._plan([t for s in scopes for t in self.factors[s]], core, self.inner)
 
     def _values_at(self, j, lo, hi):
         """Column j's values at the assignments lo..hi-1 of its reach, big-endian."""
@@ -412,13 +427,13 @@ class _Kernel:
         sep = tuple(sorted(set().union(*(s for s in scopes if j in s), *(s for s, _ in inbox))
                            - {j}))
         over = sep + (j,)
-        terms = self._terms([t for s in scopes if j in s for t in self.factors[s]], over, 1)
+        plan = self._plan([t for s in scopes if j in s for t in self.factors[s]], over, 1)
         hists = [(_held(table), self._place(s, over, 1)) for s, table in inbox]
         out = []
         for outer in product(range(Q), repeat=len(sep)):
             found = [self._read(table, place, outer, 0, Q) for table, place in hists]
             message = {}
-            for r, *hs in zip(self._values(terms, outer, 0, Q), *found):
+            for r, *hs in zip(self._row(plan, outer, 0, Q, 0), *found):
                 for key, x in _product(hs, reduce(r), reduce).items():
                     message[key] = message.get(key, 0) + x
             out.append(message)
@@ -452,26 +467,60 @@ class _Kernel:
             return table(range(base + offsets.start, base + offsets.stop, offsets.step))
         return table(map(base.__add__, offsets[lo:hi]))
 
-    def _terms(self, monomials, over, inner):
-        """Monomials placed for rows over `over`: the tables of all but the last
-        column, the last one's packed table, and the coefficient multiplier."""
-        return [([(self._power(i, f), self._place(self.reach[i], over, inner))
-                  for i, f in others],
-                 (self._packed(j, e, not others), self._place(self.reach[j], over, inner)), c)
-                for *others, (j, e), c in (mono + (c,) for mono, c in monomials)]
+    def _plan(self, monomials, over, inner):
+        """Monomials placed for rows over `over` whose last `inner` columns
+        move, in three groups: (tables, multiplier) of those that read no
+        moving column; a table, or None, of the sum of those that read no
+        fixed column; and (tables read once per row, tables read per point,
+        the last moving factor's packed table, its place, multiplier) of the
+        rest.  With no fixed column every monomial is in the rest."""
+        fixed, invariant, mixed = [], [], []
+        for mono, c in monomials:
+            reads = [(self._place(self.reach[i], over, inner), i, e) for i, e in mono]
+            held = [(self._power(i, e), place) for place, i, e in reads if place[1] is None]
+            moving = [read for read in reads if read[0][1] is not None]
+            if not moving:
+                fixed.append((held, c))
+                continue
+            *others, (place, j, e) = moving
+            others = [(self._power(i, f), where) for where, i, f in others]
+            if others:  # a product of moving factors is taken per point anyway
+                held, others = [], held + others
+            term = (held, others, self._packed(j, e, len(reads) == 1), place, c)
+            if inner < len(over) and not any(any(where[0]) for where, _, _ in reads):
+                invariant.append(term)
+            else:
+                mixed.append(term)
+        table = _table(self.Q ** inner, lambda lo, hi: self._row(
+            ([], None, invariant), [0] * (len(over) - inner), lo, hi, 0)) if invariant else None
+        return fixed, table, mixed
 
-    def _values(self, terms, outer, lo, hi, start=0):
-        """`start` plus the placed monomials, packed and unreduced, at the
+    def _row(self, plan, outer, lo, hi, start):
+        """`start` plus the planned monomials, packed and unreduced, at the
         points lo..hi-1 of the row after `outer`."""
-        values = [start] * (hi - lo)
-        for others, (packed, place), c in terms:
-            ys = None
-            for column, where in others:
-                found = self._read(column, where, outer, lo, hi)
-                ys = found if ys is None else list(map(self.gr.mul, ys, found))
-            sums = self._read(packed, place, outer, lo, hi)
-            sums = sums if ys is None else map(self.apply, ys, sums)
-            values = list(map(operator.add, values, map(c.__mul__, sums)))
+        fixed, invariant, mixed = plan
+        gr = self.gr
+
+        def held(factors):
+            values = [self._read(table, place, outer, 0, 1)[0] for table, place in factors]
+            return reduce(gr.mul, values) if values else None
+        for factors, c in fixed:
+            start += c * self.pack(held(factors))
+        values = ([start] * (hi - lo) if invariant is None
+                  else list(map(start.__add__, invariant(range(lo, hi)))))
+        for factors, others, packed, place, c in mixed:
+            x, sums = held(factors), self._read(packed, place, outer, lo, hi)
+            if others:
+                sums = map(self.apply, reduce(partial(map, gr.mul), (
+                    self._read(table, where, outer, lo, hi) for table, where in others)), sums)
+            if x is None:
+                parts = [(c, sums)]
+            elif gr.h == 1:
+                parts = [(c * x, sums)]
+            else:  # x = sum_r x_r * t^r, and column r of the packed table holds y * t^r
+                parts = zip([c * x_r for x_r in x], zip(*sums))
+            for k, column in parts:
+                values = list(map(operator.add, values, map(k.__mul__, column)))
         return values
 
     def count(self, start: int, stop: int) -> int:
@@ -483,11 +532,14 @@ class _Kernel:
             hi = min(self.row, lo + ROW, stop - prefix * self.row)
             start += hi - lo
             outer = [prefix // self.Q ** k % self.Q for k in range(len(self.core) - self.inner)][::-1]
-            row = self._values(self.terms, outer, lo, hi, self.shift)
+            row = self._row(self.plan, outer, lo, hi, self.shift)
             if not self.pending:
-                zeros += sum(map(self.is_zero, row))
+                zeros += self.zeros(row)
                 continue
             *found, last = [self._read(t, place, outer, lo, hi) for t, place in self.pending]
+            if not found:
+                zeros += sum(map(dict.get, last, map(reduce, row), repeat(0)))
+                continue
             for r, hist, *hists in zip(row, last, *found):
                 weights = _product(hists, reduce(r), reduce)
                 zeros += sum(x * hist.get(k, 0) for k, x in weights.items())

@@ -26,18 +26,32 @@ from .poly import ZZ, _pack, _packed_mul, _slots, _top, _unpack
 SUM = "sum"
 PRODUCT = "product"
 # A product of the recursion, powers included, is refused before it is
-# expanded when its factors' terms make more than this many pairs.  The
-# (p, n, r) = (5, 3, 3) product peaks at 197 * 144722 pairs and takes about
-# 40 s; the (5, 3, 3) sum needs 15939^2 for P_1^16 and ran for many minutes.
+# expanded when its factors' terms make more than MAX_WITT_PAIRS pairs, or
+# when the pairs of all products of one recursion or ghost check would pass
+# MAX_WITT_TOTAL.  The (p, n, r) = (5, 3, 3) product peaks at 197 * 144722
+# pairs and takes about 40 s; the (5, 3, 3) sum needs 15939^2 for P_1^16 and
+# ran for many minutes.
 MAX_WITT_PAIRS = 1 << 25
+MAX_WITT_TOTAL = 1 << 26
 _REFUSAL = f"the Witt recursion needs a product of more than {MAX_WITT_PAIRS} term pairs"
+_TOTAL_REFUSAL = f"the Witt recursion needs more than {MAX_WITT_TOTAL} term pairs in all"
 
 
-def _product(a, b):
-    """a * b on packed term dicts, refused past `MAX_WITT_PAIRS` term pairs."""
-    if len(a) * len(b) > MAX_WITT_PAIRS:
-        raise BudgetError(_REFUSAL)
-    return _packed_mul(a, b)
+def _budget():
+    """The product a * b on packed term dicts for one recursion, refused past
+    `MAX_WITT_PAIRS` term pairs, or past `MAX_WITT_TOTAL` over all its calls."""
+    spent = 0
+
+    def product(a, b):
+        nonlocal spent
+        pairs = len(a) * len(b)
+        spent += pairs
+        if pairs > MAX_WITT_PAIRS:
+            raise BudgetError(_REFUSAL)
+        if spent > MAX_WITT_TOTAL:
+            raise BudgetError(_TOTAL_REFUSAL)
+        return _packed_mul(a, b)
+    return product
 
 
 def _add_scaled(acc, terms, scale):
@@ -73,12 +87,12 @@ def witt_var(n: int, r: int, i: int, j: int) -> str:
     return f"x{i}{j}"
 
 
-def _witt_sum(p: int, k: int, xs):
+def _witt_sum(p: int, k: int, xs, product):
     """sum_i p^i xs[i]^(p^(k-i)) on packed term dicts: the Witt polynomial w_k
     at xs[0..k], or the first len(xs) of its terms."""
     total = {}
     for i, x in enumerate(xs):
-        _add_scaled(total, power(x, p ** (k - i), _product), p ** i)
+        _add_scaled(total, power(x, p ** (k - i), product), p ** i)
     return total
 
 
@@ -92,11 +106,11 @@ def witt_op_polys(p: int, n: int, r: int, kind: str):
     if kind not in (SUM, PRODUCT):
         raise ValidationError(f"unknown kind {kind!r}")
     names = witt_variable_names(n, r)
-    slots = _slots(len(names), p ** n)
+    slots, product = _slots(len(names), p ** n), _budget()
     polys = []
     for k in range(n + 1):
-        g = _ghost_combination(p, k, r, kind, slots[0])
-        _add_scaled(g, _witt_sum(p, k, polys), -1)
+        g = _ghost_combination(p, k, r, kind, slots[0], product)
+        _add_scaled(g, _witt_sum(p, k, polys, product), -1)
         polys.append(_exact_div(g, p ** k))
     return tuple(_unpack(ZZ, names, poly, slots) for poly in polys)
 
@@ -112,11 +126,11 @@ def _exact_div(terms, d):
     return out
 
 
-def _ghost_combination(p, k, r, kind, shifts):
+def _ghost_combination(p, k, r, kind, shifts, product):
     """G_k on packed keys: the sum (resp. product) of the k-th ghost components
     of the r arguments, digit i of argument j (from 0) in the slot at
     shifts[i * r + j]."""
-    ghosts = [_witt_sum(p, k, [{1 << shifts[i * r + j]: 1} for i in range(k + 1)])
+    ghosts = [_witt_sum(p, k, [{1 << shifts[i * r + j]: 1} for i in range(k + 1)], product)
               for j in range(r)]
     if kind == SUM:
         g = {}
@@ -125,7 +139,7 @@ def _ghost_combination(p, k, r, kind, shifts):
     else:
         g = {0: 1}
         for gh in ghosts:
-            g = _product(g, gh)
+            g = product(g, gh)
     return g
 
 
@@ -151,9 +165,10 @@ def ghost_identity_holds(p: int, n: int, r: int, kind: str, polys) -> bool:
         raise ConfigError("polynomials from different contexts")
     top = max((_top(f.terms) for f in polys), default=0)
     slots = _slots(len(names), max(top, 1) * p ** n)
-    packed = [_pack(f.terms, slots) for f in polys]
+    packed, product = [_pack(f.terms, slots) for f in polys], _budget()
     for k in range(n + 1):
-        if _witt_sum(p, k, packed[:k + 1]) != _ghost_combination(p, k, r, kind, slots[0]):
+        if (_witt_sum(p, k, packed[:k + 1], product)
+                != _ghost_combination(p, k, r, kind, slots[0], product)):
             return False
     return True
 

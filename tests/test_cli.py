@@ -378,6 +378,7 @@ def test_hostile_input_fails_fast(tmp_path, name, command):
 
 def test_oversized_witt_polys_are_refused():
     # the (5, 3, 3) sum ran for minutes; its recursion passes MAX_WITT_PAIRS
+    # with a product of 254,051,721 pairs, after 6.4M pairs in all
     import os
     import subprocess
     import sys
@@ -390,7 +391,8 @@ def test_oversized_witt_polys_are_refused():
                            "--n", "3", "--r", "3"],
                           env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == EXIT_BUDGET
-    assert proc.stdout.startswith("error.kind=budget\n")
+    assert proc.stdout == ("error.kind=budget\nerror.message=the Witt recursion needs a "
+                           "product of more than 33554432 term pairs\n")
 
 
 def test_largest_two_fold_witt_polys_are_not_refused(capsys):

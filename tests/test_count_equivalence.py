@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -197,11 +198,36 @@ def weighed_instance(p, h):
                           + "".join(f"f{k} = {f}\n" for k, f in enumerate(system, 1)))
 
 
+# (n, m, seed) per field of a box whose core the kernel enumerates in several
+# rows; the first seeds whose systems have zeros there
+ROWS = {(2, 1): (3, 4, 0), (3, 2): (2, 2, 0)}
+
+
+def rows_instance(rng, field, n, m):
+    """A box too large for one row whose columns cross terms link in every
+    pair and triple, so a row fixes the first column or columns: f1 and f2
+    share out powers of each column alone and the cross terms, with constant
+    and negative coefficients, mod p^(m+1) and mod p."""
+    names = system_variable_names(n)
+    terms = [{(0,) * n: rng.randint(-9, 9)}, {(0,) * n: rng.randint(-9, 9)}]
+    for cols in [(j,) for j in range(n) for _ in range(2)] + [
+            cols for k in (2, 3) for cols in combinations(range(n), k)]:
+        exps = [0] * n
+        for j in cols:
+            exps[j] = rng.randint(1, 3 if len(cols) == 1 else 2)
+        terms[rng.randrange(2)][tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 40)
+    system = [(MultiPoly(ZZ, names, t), mk) for t, mk in zip(terms, (m + 1, 1))]
+    return make_instance(box_make(field, n, m), system)
+
+
 def corpus(p, h, kind):
     field = field_params(p, h)
     if kind == "elimination":
         rng = random.Random(f"{p}-{h}-elimination")
         insts = [weighed_instance(p, h)] if (p, h) in WEIGHED else []
+        if (p, h) in ROWS:
+            n, m, seed = ROWS[(p, h)]
+            insts.append(rows_instance(random.Random(f"{p}-{h}-rows-{seed}"), field, n, m))
         for shape in SHAPES:
             # the most columns a box of 2^9 points allows, or three up to 2^10
             m = 2 if field.q == 2 and shape != "grid" else 1
@@ -336,6 +362,43 @@ def test_elimination_corpus_covers_the_cases():
     assert any(place[1] is not None for k in kernels for _, place in k.pending)
     assert {inst.field.h for k, inst in zip(kernels, insts) if len(k.pending) >= 2} == {1, 2}
     assert any(done and len(k.reach[0]) > 1 for k, done in zip(kernels, eliminated))
+
+
+def test_row_plans_cover_the_cases(monkeypatch):
+    # the plans of cores enumerated in several rows, and of eliminations whose
+    # rows fix their message's columns; test_count_matches_reference holds
+    # the counts of this corpus to the reference
+    from wittbox.counting import _Kernel
+
+    plans, seps = [], []
+    plan, eliminate = _Kernel._plan, _Kernel._eliminate
+
+    def spy_plan(self, monomials, over, inner):
+        plans.append((self, monomials, set(over[len(over) - inner:])))
+        return plan(self, monomials, over, inner)
+
+    def spy_eliminate(self, j, scopes, messages):
+        sep, table = eliminate(self, j, scopes, messages)
+        seps.append(sep)
+        return sep, table
+
+    monkeypatch.setattr(_Kernel, "_plan", spy_plan)
+    monkeypatch.setattr(_Kernel, "_eliminate", spy_eliminate)
+    insts = [inst for p, h in FIELDS for inst in corpus(p, h, "elimination")]
+    kernels = [_Kernel(inst) for inst in insts]
+    # cores in several rows with monomials fixed on the row, read only where
+    # they move, and mixed, at h = 1 and h >= 2 and at p = 2 and odd p
+    full = [inst.field for k, inst in zip(kernels, insts) if k.size > k.row and all(k.plan)]
+    assert {min(f.h, 2) for f in full} == {1, 2} and {min(f.p, 3) for f in full} == {2, 3}
+    assert any(seps)
+
+    def moves(k, i, moving):
+        return bool(moving.intersection(k.reach[i]))
+    # a mixed monomial whose last factor, the one read packed, is fixed on the row
+    assert any(not moves(k, mono[-1][0], moving) and any(moves(k, i, moving) for i, _ in mono)
+               for k, monomials, moving in plans for mono, _ in monomials)
+    # rows weighed by a single message
+    assert any(len(k.pending) == 1 for k in kernels)
 
 
 def test_large_exponents_match_reference():

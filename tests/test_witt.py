@@ -23,26 +23,34 @@ from wittbox.witt import (
 # The ghost recursion on whole `MultiPoly`s: every product is a
 # `MultiPoly.__mul__` in its own slot layout, and scaling, subtraction and
 # division go term by term on exponent tuples.  It charges `MAX_WITT_PAIRS`
-# on the same products as `witt_op_polys`, so refusals must agree too.
+# and `MAX_WITT_TOTAL` on the same products as `witt_op_polys`, so refusals
+# must agree too.
 
 
-def _ref_checked_mul(f, g):
-    if len(f.terms) * len(g.terms) > witt.MAX_WITT_PAIRS:
-        raise BudgetError(witt._REFUSAL)
-    return f * g
+def _ref_checked_mul():
+    spent = []
+
+    def mul(f, g):
+        spent.append(len(f.terms) * len(g.terms))
+        if spent[-1] > witt.MAX_WITT_PAIRS:
+            raise BudgetError(witt._REFUSAL)
+        if sum(spent) > witt.MAX_WITT_TOTAL:
+            raise BudgetError(witt._TOTAL_REFUSAL)
+        return f * g
+    return mul
 
 
-def _ref_witt_sum(p, k, xs, names):
+def _ref_witt_sum(p, k, xs, names, mul):
     """sum_i p^i xs[i]^(p^(k-i)): w_k at xs[0..k], or its first len(xs) terms."""
     total = MultiPoly.zero(ZZ, names)
     for i, x in enumerate(xs):
-        total = total + power(x, p ** (k - i), _ref_checked_mul) * (p ** i)
+        total = total + power(x, p ** (k - i), mul) * (p ** i)
     return total
 
 
-def _ref_ghost_combination(p, k, n, r, kind, names):
+def _ref_ghost_combination(p, k, n, r, kind, names, mul):
     ghosts = [_ref_witt_sum(p, k, [MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
-                                   for i in range(k + 1)], names)
+                                   for i in range(k + 1)], names, mul)
               for j in range(1, r + 1)]
     if kind == SUM:
         g = MultiPoly.zero(ZZ, names)
@@ -51,7 +59,7 @@ def _ref_ghost_combination(p, k, n, r, kind, names):
     else:
         g = MultiPoly.constant(ZZ, names, 1)
         for gh in ghosts:
-            g = _ref_checked_mul(g, gh)
+            g = mul(g, gh)
     return g
 
 
@@ -65,10 +73,11 @@ def _ref_exact_div(f, d):
 
 
 def reference_op_polys(p, n, r, kind):
-    names = witt_variable_names(n, r)
+    names, mul = witt_variable_names(n, r), _ref_checked_mul()
     polys = []
     for k in range(n + 1):
-        g = _ref_ghost_combination(p, k, n, r, kind, names) - _ref_witt_sum(p, k, polys, names)
+        g = (_ref_ghost_combination(p, k, n, r, kind, names, mul)
+             - _ref_witt_sum(p, k, polys, names, mul))
         polys.append(_ref_exact_div(g, p ** k))
     return tuple(polys)
 
@@ -104,6 +113,13 @@ def test_refusals_match_reference(p, n, r, kind, cap, monkeypatch, fresh_cache):
     assert _outcome(witt_op_polys, p, n, r, kind) == _outcome(reference_op_polys, p, n, r, kind)
 
 
+@pytest.mark.parametrize("cap", [30, 1000, 20000])
+@pytest.mark.parametrize("p,n,r,kind", [c for c in ORACLE_CASES if c[1] >= 2])
+def test_total_refusals_match_reference(p, n, r, kind, cap, monkeypatch, fresh_cache):
+    monkeypatch.setattr(witt, "MAX_WITT_TOTAL", cap)
+    assert _outcome(witt_op_polys, p, n, r, kind) == _outcome(reference_op_polys, p, n, r, kind)
+
+
 @pytest.mark.parametrize("p,n,r", [(4, 1, 2), (4, 2, 3), (6, 1, 2), (9, 1, 3)])
 def test_composite_p_leaves_a_remainder(p, n, r, fresh_cache):
     # the ghost recursion is integral only for prime p
@@ -124,18 +140,33 @@ def test_refusal_is_pinned_to_the_largest_product(monkeypatch, fresh_cache):
         "the Witt recursion needs a product of more than 33554432 term pairs")
 
 
+def test_total_refusal_is_pinned_to_the_whole_recursion(monkeypatch, fresh_cache):
+    # the products of the (3, 3, 3) sum make 617,905 pairs in all, and its
+    # ghost check as many; each call is charged on its own
+    monkeypatch.setattr(witt, "MAX_WITT_TOTAL", 617905)
+    polys = witt_op_polys(3, 3, 3, SUM)
+    assert ghost_identity_holds(3, 3, 3, SUM, polys)
+    witt.witt_op_polys.cache_clear()
+    monkeypatch.setattr(witt, "MAX_WITT_TOTAL", 617904)
+    for check in (lambda: witt_op_polys(3, 3, 3, SUM),
+                  lambda: ghost_identity_holds(3, 3, 3, SUM, polys)):
+        with pytest.raises(BudgetError) as refused:
+            check()
+        assert str(refused.value) == "the Witt recursion needs more than 67108864 term pairs in all"
+
+
 def test_witt_poly_small():
     def w(k):
         names = tuple(f"X{i}" for i in range(k + 1))
         xs = [MultiPoly.variable(ZZ, names, name) for name in names]
-        return _ref_witt_sum(2, k, xs, names)
+        return _ref_witt_sum(2, k, xs, names, _ref_checked_mul())
 
     assert w(0).terms == {(1,): 1}
     assert w(2).terms == {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 4}  # X0^4 + 2 X1^2 + 4 X2
     # a prefix of the variables gives the first terms of w_k only
     names = ("X0", "X1", "X2")
     xs = [MultiPoly.variable(ZZ, names, name) for name in names[:2]]
-    assert _ref_witt_sum(2, 2, xs, names).terms == {(4, 0, 0): 1, (0, 2, 0): 2}
+    assert _ref_witt_sum(2, 2, xs, names, _ref_checked_mul()).terms == {(4, 0, 0): 1, (0, 2, 0): 2}
 
 
 def test_variable_names():
