@@ -152,7 +152,8 @@ def test_total_refusal_is_pinned_to_the_whole_recursion(monkeypatch, fresh_cache
                   lambda: ghost_identity_holds(3, 3, 3, SUM, polys)):
         with pytest.raises(BudgetError) as refused:
             check()
-        assert str(refused.value) == "the Witt recursion needs more than 67108864 term pairs in all"
+        assert str(refused.value) == (
+            "the Witt recursion needs more than 67108864 term pairs in all")
 
 
 def test_witt_poly_small():
