@@ -537,9 +537,6 @@ class _Kernel:
                 zeros += self.zeros(row)
                 continue
             *found, last = [self._read(t, place, outer, lo, hi) for t, place in self.pending]
-            if not found:
-                zeros += sum(map(dict.get, last, map(reduce, row), repeat(0)))
-                continue
             for r, hist, *hists in zip(row, last, *found):
                 weights = _product(hists, reduce(r), reduce)
                 zeros += sum(x * hist.get(k, 0) for k, x in weights.items())
