@@ -54,7 +54,7 @@ def homogeneity_suite():
     for p in (2, 3):
         for r in (2, 3):
             unit_weights = {
-                witt_var(max_n, r, i, j): p ** i
+                witt_var(r, i, j): p ** i
                 for i in range(max_n + 1)
                 for j in range(1, r + 1)
             }
@@ -83,7 +83,7 @@ def degree_bound_suite():
         for r in (2, 3):
             for d_choice in product((1, 2), repeat=r):
                 weights = {
-                    witt_var(max_n, r, i, j): d_choice[j - 1] * p ** i
+                    witt_var(r, i, j): d_choice[j - 1] * p ** i
                     for i in range(max_n + 1)
                     for j in range(1, r + 1)
                 }
@@ -145,7 +145,7 @@ def vanishing_suite():
             for tup in product(elems, repeat=m * r):
                 # tup is indexed i-major: entry (i, j) at position i*r + (j-1)
                 assignment = {
-                    witt_var(m - 1, r, i, j): tup[i * r + (j - 1)]
+                    witt_var(r, i, j): tup[i * r + (j - 1)]
                     for i in range(m)
                     for j in range(1, r + 1)
                 }

@@ -18,7 +18,7 @@ from functools import lru_cache, partial, reduce
 from itertools import combinations, compress, product, repeat
 
 from .box import BoxSpec
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, decimal
 from .fqfield import fq_enumerate, polymul_mod, power
 from .galois import GRParams, from_digits, int_to_gr, reduce_precision, teichmuller_lift
 from .poly import IntegerDomain, MultiPoly
@@ -554,10 +554,7 @@ def count_zeros(inst: ProblemInstance, budget: int = DEFAULT_BUDGET,
     """
     total = inst.box.base_size()
     if total > budget:
-        try:
-            size = str(total)
-        except ValueError:  # more digits than Python writes out
-            size = f"{inst.field.p}^{inst.field.h * inst.box.n * inst.box.m}"
+        size = decimal(total, f"{inst.field.p}^{inst.field.h * inst.box.n * inst.box.m}")
         raise BudgetError(f"{size} points exceed the enumeration budget {budget}")
     if partitions < 1:
         raise ValidationError("partitions must be >= 1")

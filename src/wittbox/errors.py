@@ -1,7 +1,14 @@
 class WittboxError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; carries the line of
+    the instance file it refers to when known."""
 
     kind = "internal"
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class ValidationError(WittboxError):
@@ -11,15 +18,9 @@ class ValidationError(WittboxError):
 
 
 class ParseError(ValidationError):
-    """Syntax error in an instance file or expression; carries a line number when known."""
+    """Syntax error in an instance file or expression."""
 
     kind = "parse"
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ConfigError(ValidationError):
@@ -42,3 +43,11 @@ class BudgetError(WittboxError):
     """Enumeration or combinatorial budget exceeded; refusal, never approximation."""
 
     kind = "budget"
+
+
+def decimal(value: int, fallback: str) -> str:
+    """`value` written out, or `fallback` when it has more digits than Python writes out."""
+    try:
+        return str(value)
+    except ValueError:
+        return fallback

@@ -92,8 +92,8 @@ def witt_digit_op(a, b, kind: str, params: GRParams):
     m = params.precision
     assignment = {}
     for i in range(m):
-        assignment[witt_var(m - 1, 2, i, 1)] = a[i]
-        assignment[witt_var(m - 1, 2, i, 2)] = b[i]
+        assignment[witt_var(2, i, 1)] = a[i]
+        assignment[witt_var(2, i, 2)] = b[i]
     dom = FieldDomain(params.field)
     return tuple(poly.evaluate(assignment, coerce=dom.coerce).frobenius_inverse(i)
                  for i, poly in enumerate(twisted_digit_polys(params.p, m - 1, 2, kind)))

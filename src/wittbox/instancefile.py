@@ -29,9 +29,9 @@ import re
 
 from .box import box_make, box_variable_names, teichmuller_box
 from .counting import ProblemInstance, make_instance, system_variable_names
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, decimal
 from .fqfield import field_params, fq
-from .poly import FieldDomain, MultiPoly, ZZ
+from .poly import FieldDomain, MultiPoly, ZZ, _merge, _raw, _unit
 
 # A `^` or `*` whose result could exceed this many terms is refused before it
 # is expanded, so a short line cannot make parsing run for minutes.  Squaring
@@ -39,6 +39,10 @@ from .poly import FieldDomain, MultiPoly, ZZ
 # exponent: on a 2-vCPU VM, (7*x1 + 5)^1023 (1024 terms) expands in about
 # 2 s and (x1 + 1)^4095 (4096 terms) in about 27 s.
 MAX_POWER_TERMS = 1 << 10
+# A polynomial whose terms times declared variables (its exponent slots) could
+# pass this is refused before it is built: 2^24 slots are about 128 MB of
+# tuples, and a sum of n = 16000 variables took 45 s and 2.1 GB.
+MAX_EXPONENT_SLOTS = 1 << 24
 # A [problem] with more free digit variables x[i][j] than this is refused
 # before their names are built: n*m = 2^22 names take about 6 s and 0.6 GB.
 MAX_DIGIT_VARIABLES = 1 << 20
@@ -71,15 +75,19 @@ def _tokenize(text: str, line=None):
 
 
 class _ExprParser:
-    """Recursive-descent parser producing a MultiPoly in a fixed context."""
+    """Recursive-descent parser of expressions into MultiPolys over one domain
+    and one tuple of variables; `t` is the field generator over F_q.
 
-    def __init__(self, domain, variables, tokens, line=None, fq_params=None):
+    An expression is computed in the variables that occur in it and widened
+    to all the declared ones once, at the end: a product packs every variable
+    of its polynomials, at a cost quadratic in their number, and a box
+    declares up to nm = 2^20 digit variables.
+    """
+
+    def __init__(self, domain, variables):
         self.domain = domain
         self.variables = tuple(variables)
-        self.tokens = tokens
-        self.i = 0
-        self.line = line
-        self.fq_params = fq_params
+        self.index = dict(zip(self.variables, range(len(self.variables))))
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -92,71 +100,80 @@ class _ExprParser:
     def _fail(self, message):
         raise ParseError(message, self.line)
 
-    def _refuse(self, what):
-        where = "" if self.line is None else f"line {self.line}: "
-        raise BudgetError(f"{where}{what} could produce more than {MAX_POWER_TERMS} terms")
+    def _refuse(self, what, terms, most):
+        """Refuse a result of up to `terms` terms past `most` terms or past MAX_EXPONENT_SLOTS."""
+        if terms > most:
+            raise BudgetError(f"{what} could produce more than {most} terms", self.line)
+        if terms * len(self.variables) > MAX_EXPONENT_SLOTS:
+            raise BudgetError(f"{what} could need more than {MAX_EXPONENT_SLOTS} exponent "
+                              f"slots ({len(self.variables)} per term)", self.line)
 
-    def parse(self) -> MultiPoly:
-        poly = self._expr()
+    def parse(self, text, line=None) -> MultiPoly:
+        self.tokens, self.i, self.line = _tokenize(text, line), 0, line
+        used = sorted({self.index[val] for _, val in self.tokens if val in self.index})
+        self.local = tuple(self.variables[k] for k in used)
+        self.local_index = dict(zip(self.local, range(len(used))))
+        try:
+            poly = self._expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", line) from None
         if self.i != len(self.tokens):
             self._fail(f"trailing tokens starting at {self._peek()[1]!r}")
-        return poly
+        terms = poly.terms
+        if len(used) < len(self.variables):
+            terms, full = {}, [0] * len(self.variables)
+            for exps, c in poly.terms.items():
+                for k, x in zip(used, exps):
+                    full[k] = x
+                terms[tuple(full)] = c
+        return _raw(self.domain, self.variables, terms)
 
     def _expr(self):
-        poly = self._term()
-        while True:
-            kind, val = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                rhs = self._term()
-                poly = poly + rhs if val == "+" else poly - rhs
-            else:
-                return poly
+        """A sum or difference of terms, added up in one dict."""
+        terms = dict(self._term().terms)
+        while self._peek() in (("op", "+"), ("op", "-")):
+            sign = self._next()[1]
+            rhs = self._term().terms.items()
+            _merge(terms, rhs if sign == "+" else ((e, -c) for e, c in rhs), self.domain.zero)
+            self._refuse("adding with `+` or `-`", len(terms), math.inf)
+        return _raw(self.domain, self.local, terms)
 
     def _term(self):
         poly = self._factor()
-        while True:
-            kind, val = self._peek()
-            if kind == "op" and val == "*":
-                self._next()
-                rhs = self._factor()
-                if _product_terms_bound(poly, rhs) > MAX_POWER_TERMS:
-                    self._refuse("multiplying with `*`")
-                poly = poly * rhs
-            else:
-                return poly
+        while self._peek() == ("op", "*"):
+            self._next()
+            rhs = self._factor()
+            self._refuse("multiplying with `*`", _terms_bound([(poly, 1), (rhs, 1)]),
+                         MAX_POWER_TERMS)
+            poly = poly * rhs
+        return poly
 
     def _factor(self):
-        kind, val = self._peek()
-        if kind == "op" and val == "-":
+        if self._peek() == ("op", "-"):
             self._next()
             return -self._factor()
         poly = self._atom()
-        kind, val = self._peek()
-        if kind == "op" and val == "^":
+        if self._peek() == ("op", "^"):
             self._next()
             ekind, eval_ = self._next()
             if ekind != "int":
                 self._fail("exponent must be an integer literal")
             e = _int(self.line, eval_)
-            if _power_terms_bound(poly, e) > MAX_POWER_TERMS:
-                self._refuse(f"expanding `^{e}`")
+            self._refuse(f"expanding `^{e}`", _terms_bound([(poly, e)]), MAX_POWER_TERMS)
             poly = poly ** e
         return poly
 
     def _atom(self):
         kind, val = self._next()
         if kind == "int":
-            return MultiPoly.constant(self.domain, self.variables, _int(self.line, val))
+            return MultiPoly.constant(self.domain, self.local, _int(self.line, val))
         if kind in ("boxvar", "name"):
-            if val in self.variables:
-                return MultiPoly.variable(self.domain, self.variables, val)
+            if val in self.local_index:
+                return _unit(self.domain, self.local, self.local_index[val])
             if val == "t":
-                if self.fq_params is None:
+                if not isinstance(self.domain, FieldDomain):
                     self._fail("`t` is only meaningful in F_q expressions")
-                return MultiPoly.constant(
-                    self.domain, self.variables, fq(self.fq_params, [0, 1])
-                )
+                return MultiPoly.constant(self.domain, self.local, fq(self.domain.params, [0, 1]))
             self._fail(f"unknown variable {val!r}")
         if kind == "op" and val == "(":
             poly = self._expr()
@@ -167,30 +184,24 @@ class _ExprParser:
         self._fail("malformed expression" if val is None else f"unexpected token {val!r}")
 
 
-def _power_terms_bound(poly, e: int) -> int:
-    """An upper bound on the number of terms of poly^e, exact up to MAX_POWER_TERMS.
+def _terms_bound(factors) -> int:
+    """An upper bound on the number of terms of the product of the f^e over
+    (f, e) in `factors`, exact up to MAX_POWER_TERMS.
 
-    poly^e has at most C(v + d*e, v) monomials of degree <= d*e in its v
-    variables, and at most C(t + e - 1, e) products of e of its t terms.
+    The product has at most the product over its factors of C(t + e - 1, e)
+    products of terms, t the terms of f (1 if e = 0, 0 if f = 0 < e), and at
+    most C(v + sum d*e, v) monomials of degree <= sum d*e, d = deg f, in the v
+    variables that occur; the second is only worked out when the first is
+    past the cap.  A power f^e is a product of e equal factors: `*` passes
+    [(f, 1), (g, 1)], and `^` passes [(f, e)].
     """
-    v = sum(1 for column in zip(*poly.terms) if any(column))
-    d, t = poly.total_degree(), max(len(poly.terms), 1)
-    return min(_binomial(v + d * e, v), _binomial(t + e - 1, e))
-
-
-def _product_terms_bound(f, g) -> int:
-    """An upper bound on the number of terms of f*g, exact up to MAX_POWER_TERMS.
-
-    f*g has at most t1*t2 products of their terms, and at most
-    C(v + d1 + d2, v) monomials of degree <= d1 + d2 in the v variables that
-    occur in f or g; the second is only worked out when the first is past the
-    cap.
-    """
-    products = len(f.terms) * len(g.terms)
+    products = 1
+    for f, e in factors:
+        products *= _binomial(len(f.terms) + e - 1, e) if f.terms else int(e == 0)
     if products <= MAX_POWER_TERMS:
         return products
-    v = sum(1 for column in zip(*f.terms, *g.terms) if any(column))
-    return min(_binomial(v + f.total_degree() + g.total_degree(), v), products)
+    v = sum(1 for column in zip(*(exps for f, _ in factors for exps in f.terms)) if any(column))
+    return min(_binomial(v + sum(f.total_degree() * e for f, e in factors), v), products)
 
 
 def _binomial(n: int, k: int) -> int:
@@ -199,8 +210,8 @@ def _binomial(n: int, k: int) -> int:
     return math.comb(n, k) if k <= MAX_POWER_TERMS.bit_length() else MAX_POWER_TERMS + 1
 
 
-def parse_poly(text, domain, variables, line=None, fq_params=None) -> MultiPoly:
-    return _ExprParser(domain, variables, _tokenize(text, line), line, fq_params).parse()
+def parse_poly(text, domain, variables, line=None) -> MultiPoly:
+    return _ExprParser(domain, variables).parse(text, line)
 
 
 def _parse_modulus(text, p, line):
@@ -295,14 +306,10 @@ def parse_instance(text: str) -> ProblemInstance:
     if n < 1 or m < 1:
         raise ParseError("n and m must be positive")
     if n * m > MAX_DIGIT_VARIABLES:
-        line = problem["n" if n >= m else "m"][0]
-        try:
-            size = str(n * m)
-        except ValueError:  # more digits than Python writes out
-            size = f"{n}*{m}"
-        raise BudgetError(f"line {line}: n*m = {size} digit variables exceed {MAX_DIGIT_VARIABLES}")
+        raise BudgetError(f"n*m = {decimal(n * m, f'{n}*{m}')} digit variables exceed "
+                          f"{MAX_DIGIT_VARIABLES}", problem["n" if n >= m else "m"][0])
 
-    sys_names = system_variable_names(n)
+    system_parser = _ExprParser(ZZ, system_variable_names(n))
     system = []
     labels = set()
     for lineno, line in sections["system"]:
@@ -313,25 +320,23 @@ def parse_instance(text: str) -> ProblemInstance:
         if k in labels:
             raise ParseError(f"duplicate polynomial f{k}", lineno)
         labels.add(k)
-        f = parse_poly(sm.group(2), ZZ, sys_names, line=lineno)
+        f = system_parser.parse(sm.group(2), lineno)
         mk = _int(lineno, sm.group(3))
         if mk > MAX_MODULUS_EXPONENT:
-            raise BudgetError(f"line {lineno}: a modulus exponent above "
-                              f"{MAX_MODULUS_EXPONENT} is refused")
+            raise BudgetError(f"a modulus exponent above {MAX_MODULUS_EXPONENT} is refused", lineno)
         system.append((f, mk))
     if not system:
         raise ParseError("empty [system] section")
 
     if "box" in sections:
-        box_names = box_variable_names(n, m)
-        dom = FieldDomain(field)
+        box_parser = _ExprParser(FieldDomain(field), box_variable_names(n, m))
         generators = {}
         for lineno, line in sections["box"]:
             bm = _BOX_RE.match(line)
             if not bm:
                 raise ParseError("expected `g[<i>][<j>] = <expr>`", lineno)
             i, j = _int(lineno, bm.group(1)), _int(lineno, bm.group(2))
-            g = parse_poly(bm.group(3), dom, box_names, line=lineno, fq_params=field)
+            g = box_parser.parse(bm.group(3), lineno)
             if (i, j) in generators:
                 raise ParseError(f"duplicate generator g[{i}][{j}]", lineno)
             generators[(i, j)] = g

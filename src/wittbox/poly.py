@@ -104,10 +104,7 @@ class MultiPoly:
         variables = tuple(variables)
         if name not in variables:
             raise ConfigError(f"unknown variable {name!r}")
-        out = cls.__new__(cls)
-        out.domain, out.variables = domain, variables
-        out.terms = {tuple([1 if v == name else 0 for v in variables]): domain.one}
-        return out
+        return _unit(domain, variables, variables.index(name))
 
     # -- predicates ---------------------------------------------------------
 
@@ -136,26 +133,11 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.domain, self.variables, other)
         self._check(other)
-        terms = dict(self.terms)
-        zero = self.domain.zero
-        for exps, c in other.terms.items():
-            if exps in terms:
-                s = terms[exps] + c
-                if s == zero:
-                    del terms[exps]
-                else:
-                    terms[exps] = s
-            else:
-                terms[exps] = c
-        out = MultiPoly.__new__(MultiPoly)
-        out.domain, out.variables, out.terms = self.domain, self.variables, terms
-        return out
+        terms = _merge(dict(self.terms), other.terms.items(), self.domain.zero)
+        return _raw(self.domain, self.variables, terms)
 
     def __neg__(self):
-        terms = {e: -c for e, c in self.terms.items()}
-        out = MultiPoly.__new__(MultiPoly)
-        out.domain, out.variables, out.terms = self.domain, self.variables, terms
-        return out
+        return _raw(self.domain, self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -205,14 +187,16 @@ class MultiPoly:
 
     # -- structure maps -----------------------------------------------------
 
+    def _remap(self, remap):
+        """The polynomial with each exponent tuple e replaced by remap(e), like
+        terms merged."""
+        terms = ((remap(e), c) for e, c in self.terms.items())
+        return _raw(self.domain, self.variables, _merge({}, terms, self.domain.zero))
+
     def scale_exponents(self, factors):
         """Substitute x -> x^k per the variable->k map (unspecified vars keep 1)."""
         f = [factors.get(v, 1) for v in self.variables]
-        terms = {}
-        for e, c in self.terms.items():
-            key = tuple(a * k for a, k in zip(e, f))
-            terms[key] = terms[key] + c if key in terms else c
-        return MultiPoly(self.domain, self.variables, terms)
+        return self._remap(lambda e: tuple(a * k for a, k in zip(e, f)))
 
     def reduce_exponents(self):
         """Reduce each positive exponent to its representative in [1, q-1].
@@ -224,11 +208,7 @@ class MultiPoly:
             raise ConfigError("exponent reduction is defined over F_q only")
         q = self.domain.params.q
         cap = lambda e: ((e - 1) % (q - 1)) + 1 if e > 0 else 0
-        terms = {}
-        for e, c in self.terms.items():
-            key = tuple(cap(x) for x in e)
-            terms[key] = terms[key] + c if key in terms else c
-        return MultiPoly(self.domain, self.variables, terms)
+        return self._remap(lambda e: tuple(cap(x) for x in e))
 
     def is_reduced(self) -> bool:
         if not isinstance(self.domain, FieldDomain):
@@ -321,10 +301,37 @@ def _pack(terms, slots):
 def _unpack(domain, variables, packed, slots):
     """The polynomial over `domain` in `variables` with the given packed terms."""
     shifts, mask = slots
+    return _raw(domain, variables,
+                {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()})
+
+
+def _raw(domain, variables, terms):
+    """The polynomial with the given terms, taken as they are: the one
+    constructor that neither coerces nor checks them."""
     out = MultiPoly.__new__(MultiPoly)
-    out.domain, out.variables = domain, variables
-    out.terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
+    out.domain, out.variables, out.terms = domain, variables, terms
     return out
+
+
+def _unit(domain, variables, index):
+    """The variable variables[index]."""
+    exps = [0] * len(variables)
+    exps[index] = 1
+    return _raw(domain, variables, {tuple(exps): domain.one})
+
+
+def _merge(acc, terms, zero):
+    """acc += the (key, coefficient) pairs `terms` in place, deleting keys that cancel."""
+    for key, c in terms:
+        if key in acc:
+            s = acc[key] + c
+            if s == zero:
+                del acc[key]
+            else:
+                acc[key] = s
+        else:
+            acc[key] = c
+    return acc
 
 
 def _packed_mul(a, b, zero=0):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
 from .fqfield import power
-from .poly import ZZ, _pack, _packed_mul, _slots, _top, _unpack
+from .poly import ZZ, _merge, _pack, _packed_mul, _slots, _top, _unpack
 
 SUM = "sum"
 PRODUCT = "product"
@@ -54,34 +54,14 @@ def _budget():
     return product
 
 
-def _add_scaled(acc, terms, scale):
-    """acc += scale * terms on packed term dicts, in place; a coefficient that
-    cancels is deleted."""
-    get = acc.get
-    for key, c in terms.items():
-        s = get(key, 0) + scale * c
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
 def witt_variable_names(n: int, r: int):
-    """Variable context for S/M generation, ordered by (i, j).
-
-    The two-fold case uses the classical X_i/Y_i names; higher folds use
-    x<i><j>.
-    """
-    if r == 2:
-        names = []
-        for i in range(n + 1):
-            names.append(f"X{i}")
-            names.append(f"Y{i}")
-        return tuple(names)
-    return tuple(f"x{i}{j}" for i in range(n + 1) for j in range(1, r + 1))
+    """Variable context for S/M generation, ordered by (i, j)."""
+    return tuple(witt_var(r, i, j) for i in range(n + 1) for j in range(1, r + 1))
 
 
-def witt_var(n: int, r: int, i: int, j: int) -> str:
+def witt_var(r: int, i: int, j: int) -> str:
+    """Digit i of argument j of an r-fold operation: the classical X_i/Y_i
+    when r = 2, and x<i><j> for higher folds."""
     if r == 2:
         return f"X{i}" if j == 1 else f"Y{i}"
     return f"x{i}{j}"
@@ -92,7 +72,8 @@ def _witt_sum(p: int, k: int, xs, product):
     at xs[0..k], or the first len(xs) of its terms."""
     total = {}
     for i, x in enumerate(xs):
-        _add_scaled(total, power(x, p ** (k - i), product), p ** i)
+        scale = p ** i
+        _merge(total, ((key, scale * c) for key, c in power(x, p ** (k - i), product).items()), 0)
     return total
 
 
@@ -110,7 +91,7 @@ def witt_op_polys(p: int, n: int, r: int, kind: str):
     polys = []
     for k in range(n + 1):
         g = _ghost_combination(p, k, r, kind, slots[0], product)
-        _add_scaled(g, _witt_sum(p, k, polys, product), -1)
+        _merge(g, ((key, -c) for key, c in _witt_sum(p, k, polys, product).items()), 0)
         polys.append(_exact_div(g, p ** k))
     return tuple(_unpack(ZZ, names, poly, slots) for poly in polys)
 
@@ -135,7 +116,7 @@ def _ghost_combination(p, k, r, kind, shifts, product):
     if kind == SUM:
         g = {}
         for gh in ghosts:
-            _add_scaled(g, gh, 1)
+            _merge(g, gh.items(), 0)
     else:
         g = {0: 1}
         for gh in ghosts:
@@ -150,7 +131,7 @@ def twisted_digit_polys(p: int, n: int, r: int, kind: str):
     factors = {}
     for i in range(n + 1):
         for j in range(1, r + 1):
-            factors[witt_var(n, r, i, j)] = p ** i
+            factors[witt_var(r, i, j)] = p ** i
     return tuple(poly.scale_exponents(factors) for poly in polys)
 
 

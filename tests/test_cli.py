@@ -157,6 +157,35 @@ def test_paper_examples_checks_ord_p(capsys, monkeypatch):
     assert out.endswith(f"{name}.ord_p={ord_p}\n{name}.closeness=true\n{name}.status=FAIL\n")
 
 
+def _slug(name):
+    return name.replace(" ", "-").replace("=", "").replace("(", "").replace(")", "").replace(
+        ",", ".").replace("/", "-")
+
+
+def test_selftest_prints_every_check(capsys, monkeypatch):
+    from wittbox import checks
+
+    results = []
+    run_all = checks.run_all
+    monkeypatch.setattr(checks, "run_all", lambda: results.extend(run_all()) or results)
+    code, out = run(capsys, "selftest")
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"selftest.{_slug(name)}=ok" for name, _ in results]
+    assert out.startswith("selftest.ghost-p2-r2-kindsum-k<3=ok\n")
+    assert out.endswith("selftest.box-round-trip-example-4.1-box=ok\n")
+
+
+def test_selftest_fails_on_a_failed_check(capsys, monkeypatch):
+    from wittbox import checks
+
+    monkeypatch.setattr(checks, "ALL_SUITES", (("ghost", checks.ghost_suite),
+                                               ("broken", lambda: [("forced check", False)])))
+    code, out = run(capsys, "selftest")
+    assert code == EXIT_ASSERTION
+    assert out.endswith("selftest.ghost-negative-control-mutated-S_1-fails=ok\n"
+                        "selftest.forced-check=FAIL\n")
+
+
 def test_duplicate_key_exit_code(capsys, tmp_path):
     path = tmp_path / "dup.ini"
     path.write_text(EXAMPLE_41.replace("h = 1", "h = 1\nh = 3"))
@@ -342,6 +371,32 @@ HOSTILE_INPUTS = {
     # d = 10^6000 / 2^299 has about 5900 digits
     "long-d": (_ONE_COLUMN + f"f1 = 2^299*(x1^{10 ** 3000})^{10 ** 3000} mod p^300\n",
                _both(EXIT_OK, _BUDGET_NOTE)),
+    # each level of nesting was a Python call: 250 parentheses or 1000 unary
+    # minus signs exited 1 with a RecursionError traceback
+    **{f"nested-{what}": (text, dict.fromkeys(("count", "bound", "verify"), (
+        EXIT_VALIDATION, f"error.message=line {line}: expression nested too deeply\n")))
+       for what, line, text in (
+           ("parentheses", 7, _ONE_COLUMN + f"f1 = {'(' * 250}x1{')' * 250} mod p^1\n"),
+           ("minus", 7, _ONE_COLUMN + f"f1 = {'-' * 1000}x1 mod p^1\n"),
+           ("generator", 9, _ONE_COLUMN + f"f1 = x1 mod p^2\n[box]\ng[1][1] = {'(' * 250}x[0][1]{')' * 250}\n"),
+           ("modulus", 4, _ONE_COLUMN.replace("p = 2\n", f"p = 2\nh = 2\nmodulus = {'(' * 250}t^2 + t + 1"
+                                              f"{')' * 250}\n") + "f1 = x1 mod p^1\n"))},
+    # every term holds a slot per declared variable: x1 + ... + x16000 took
+    # 45 s and 2.1 GB
+    "wide-sum": (_ONE_COLUMN.replace("n = 1", "n = 16000")
+                 + f"f1 = {' + '.join(f'x{i}' for i in range(1, 16001))} mod p^1\n",
+                 dict.fromkeys(("count", "bound", "verify"), (
+                     EXIT_BUDGET, "error.message=line 7: adding with `+` or `-` could need more than "
+                     "16777216 exponent slots (16000 per term)\n"))),
+    # a product packed every declared variable, at a cost quadratic in nm:
+    # both ran past 120 s
+    **{name: (_ONE_COLUMN.replace("n = 1", f"n = {nm // 2}").replace("m = 1", "m = 2")
+              + "f1 = x1 mod p^3\n[box]\ng[2][1] = "
+              + "*".join(f"x[{i % 2}][{i // 2 + 1}]" for i in range(factors)) + "\n",
+              {"bound": (EXIT_OK, f"bound.improved={d}\n"),
+               "verify": (EXIT_BUDGET, f"error.message=2^{nm} points exceed")})
+       for name, nm, factors, d in (("wide-product", 1 << 17, 30, 4095),
+                                    ("widest-product", 1 << 20, 3, 262143))},
 }
 
 

@@ -55,7 +55,7 @@ def test_t_requires_field_context():
         parse_poly("t + 1", ZZ, ("x1",))
     f4 = field_params(2, 2)
     dom = FieldDomain(f4)
-    g = parse_poly("t*x[0][1] + 1", dom, ("x[0][1]",), fq_params=f4)
+    g = parse_poly("t*x[0][1] + 1", dom, ("x[0][1]",))
     assert g.terms == {(1,): fq(f4, [0, 1]), (0,): fq(f4, 1)}
 
 
@@ -139,14 +139,14 @@ def test_duplicate_keys_and_labels():
 
 def test_power_term_bound_is_an_upper_bound_and_refuses_early():
     from wittbox.errors import BudgetError
-    from wittbox.instancefile import MAX_POWER_TERMS, _power_terms_bound
+    from wittbox.instancefile import MAX_POWER_TERMS, _terms_bound
 
     names = ("x1", "x2", "x3")
     for text, e in (("x1 + x2 + 1", 7), ("x1*x2 + x3^2", 5), ("x1 - x1", 3),
                     ("2", 0), ("x1^3 + x2", 9), ("x1 + x2 + x3 + 1", 6)):
         f = parse_poly(text, ZZ, names)
-        assert len((f ** e).terms) <= _power_terms_bound(f, e)
-    assert _power_terms_bound(parse_poly("x1", ZZ, names), 2 ** 40) == 1
+        assert len((f ** e).terms) <= _terms_bound([(f, e)])
+    assert _terms_bound([(parse_poly("x1", ZZ, names), 2 ** 40)]) == 1
     # the degree bound C(36, 2) = 630 admits what the term bound C(20, 3) = 1140 would not
     assert len(parse_poly("(x1 + x2 + x1*x2 + 1)^17", ZZ, names).terms) == 18 * 18
     with pytest.raises(BudgetError, match="line 9: "):
@@ -156,13 +156,13 @@ def test_power_term_bound_is_an_upper_bound_and_refuses_early():
 
 def test_product_term_bound_is_an_upper_bound_and_refuses_early():
     from wittbox.errors import BudgetError
-    from wittbox.instancefile import MAX_POWER_TERMS, _product_terms_bound
+    from wittbox.instancefile import MAX_POWER_TERMS, _terms_bound
 
     names = ("x1", "x2", "x3")
     for left, right in (("x1 + x2 + 1", "x1 - x2"), ("x1*x2 + x3^2", "x3 + 1"), ("0", "x1"),
                         ("2", "3"), ("(x1 + x2 + x3 + 1)^4", "(x1 + x2 + 1)^5")):
         f, g = parse_poly(left, ZZ, names), parse_poly(right, ZZ, names)
-        assert len((f * g).terms) <= _product_terms_bound(f, g)
+        assert len((f * g).terms) <= _terms_bound([(f, 1), (g, 1)])
     # 220 * 220 term products, but at most C(3 + 18, 3) = 1330 monomials: refused
     with pytest.raises(BudgetError, match="line 4: multiplying"):
         parse_poly("(x1 + x2 + x3 + 1)^9 * (x1 + x2 + x3 + 1)^9", ZZ, names, line=4)
@@ -171,6 +171,8 @@ def test_product_term_bound_is_an_upper_bound_and_refuses_early():
     assert len(f.terms) == 32 * 32 == MAX_POWER_TERMS
     with pytest.raises(BudgetError):
         parse_poly("(x1 + 1)^31 * (x2 + 1)^32", ZZ, names)  # 32 * 33 terms
+    # a zero factor makes a zero product, however many terms the other has
+    assert parse_poly(f"0 * ({' + '.join(f'x1^{k}' for k in range(1, 1101))})", ZZ, names).is_zero()
 
 
 def test_oversized_problem_is_refused_before_names_are_built():
@@ -195,3 +197,19 @@ def test_deep_modulus_is_refused_before_p_to_the_e():
     for e in (2 ** 18 + 1, 10 ** 7, 10 ** 30):
         with pytest.raises(BudgetError, match="^line 9: a modulus exponent above 262144"):
             parse_instance(MINIMAL.replace("p^1", f"p^{e}"))
+
+
+def test_exponent_slots_are_capped_before_a_polynomial_is_built():
+    from wittbox.errors import BudgetError
+    from wittbox.instancefile import MAX_EXPONENT_SLOTS
+
+    assert MAX_EXPONENT_SLOTS == 2 ** 24
+    names = tuple(f"x{i}" for i in range(1, 2 ** 17 + 1))  # 128 terms fill the cap
+    assert len(parse_poly("(x1 + 1)^7 * x2", ZZ, names).terms) == 8
+    for what, text in (("expanding `^128`", "(x1 + 1)^128"),
+                       ("multiplying with `*`", "(x1 + 1)^64 * (x2 + 1)"),
+                       ("adding with `+` or `-`", " + ".join(f"x{i}" for i in range(1, 130)))):
+        with pytest.raises(BudgetError) as err:
+            parse_poly(text, ZZ, names, line=3)
+        assert str(err.value) == (f"line 3: {what} could need more than 16777216 exponent slots "
+                                  "(131072 per term)")

@@ -105,7 +105,7 @@ def test_render_parse_round_trip_over_fq(case):
     field, names, terms = case
     dom = FieldDomain(field)
     f = MultiPoly(dom, names, terms)
-    assert parse_poly(f.render(), dom, names, fq_params=field) == f
+    assert parse_poly(f.render(), dom, names) == f
 
 
 F4 = field_params(2, 2)

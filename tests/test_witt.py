@@ -49,7 +49,7 @@ def _ref_witt_sum(p, k, xs, names, mul):
 
 
 def _ref_ghost_combination(p, k, n, r, kind, names, mul):
-    ghosts = [_ref_witt_sum(p, k, [MultiPoly.variable(ZZ, names, witt_var(n, r, i, j))
+    ghosts = [_ref_witt_sum(p, k, [MultiPoly.variable(ZZ, names, witt_var(r, i, j))
                                    for i in range(k + 1)], names, mul)
               for j in range(1, r + 1)]
     if kind == SUM:
@@ -173,8 +173,8 @@ def test_witt_poly_small():
 def test_variable_names():
     assert witt_variable_names(1, 2) == ("X0", "Y0", "X1", "Y1")
     assert witt_variable_names(1, 3) == ("x01", "x02", "x03", "x11", "x12", "x13")
-    assert witt_var(1, 2, 0, 2) == "Y0"
-    assert witt_var(1, 3, 1, 3) == "x13"
+    assert witt_var(2, 0, 2) == "Y0"
+    assert witt_var(3, 1, 3) == "x13"
 
 
 def _closed_form_pair(p):

@@ -1,0 +1,107 @@
+"""Print the exit code and stdout SHA-256 of a fixed corpus of CLI runs.
+
+Run from the root of a checkout; wittbox is imported from its `src/` and the
+benchmark's instance generator from `bench/workloads.py`, which is only read:
+
+    python3 tools/cli_corpus.py > corpus.txt
+
+Each line is `<argv> exit=<code> sha256=<digest of stdout>`, with instance
+files named by a label instead of their path.  The corpus is deterministic,
+so a `diff` of its output at two commits shows every run whose stdout or exit
+code changed.  It covers:
+
+- `count` (plain, `--partitions 3`, `--budget 10`), `bound` under both
+  readings, and `verify` on the bundled fixtures, on the benchmark inputs of
+  seeds 1-20 at tiny and full size, and on 40 seeded instances whose core the
+  counting kernel enumerates in several rows;
+- `paper-examples` and `selftest`;
+- `witt-polys` for p in {2, 3, 5}, n <= 3 and r in {2, 3}, both kinds, except
+  p = 5 with n = 3.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from itertools import combinations
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from wittbox import cli  # noqa: E402
+from wittbox.fixtures import PAPER_EXAMPLES  # noqa: E402
+
+INSTANCE_ARGS = (("count",), ("count", "--partitions", "3"), ("count", "--budget", "10"),
+                 ("bound", "--reading", "any"), ("bound", "--reading", "all"), ("verify",))
+# (p, h, n, m) of the multi-row instances: boxes of 2^12 to 5^6 points, which
+# the counting kernel enumerates in rows of at most 2^10
+ROWS = ((2, 1, 3, 4), (2, 2, 2, 3), (3, 1, 2, 4), (3, 2, 2, 2), (5, 1, 2, 3))
+
+
+def rows_text(rng, p, h, n, m):
+    """Two polynomials whose cross terms link every pair and triple of
+    columns, with constant and negative coefficients, mod p^(m+1) and mod p."""
+    terms = [{(0,) * n: rng.randint(-9, 9)}, {(0,) * n: rng.randint(-9, 9)}]
+    for cols in [(j,) for j in range(n) for _ in range(2)] + [
+            cols for k in (2, 3) for cols in combinations(range(n), k)]:
+        exps = [0] * n
+        for j in cols:
+            exps[j] = rng.randint(1, 3 if len(cols) == 1 else 2)
+        terms[rng.randrange(2)][tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 40)
+    system = "".join(
+        f"f{k} = " + " + ".join(
+            f"({c})" + "".join(f"*x{j + 1}^{e}" for j, e in enumerate(exps) if e)
+            for exps, c in poly.items()) + f" mod p^{mk}\n"
+        for k, (poly, mk) in enumerate(zip(terms, (m + 1, 1)), 1))
+    return f"[ring]\np = {p}\nh = {h}\n[problem]\nn = {n}\nm = {m}\n[system]\n{system}"
+
+
+def instances():
+    """(label, instance text) of every instance in the corpus, in a fixed order."""
+    for name, text, *_ in PAPER_EXAMPLES:
+        yield f"fixture/{name}", text
+    for seed in range(1, 21):
+        for size in ("tiny", "full"):
+            for workload in workloads.NAMES:
+                for key, text in workloads.build(workload, seed, size).texts.items():
+                    yield f"bench/{workload}/{seed}/{size}/{key}", text
+    for p, h, n, m in ROWS:
+        for seed in range(8):
+            yield f"rows/{p}-{h}/{seed}", rows_text(random.Random(f"rows-{p}-{h}-{seed}"), p, h, n, m)
+
+
+def runs(workdir):
+    """(argv as printed, argv as run) of every run in the corpus, in a fixed order."""
+    for label, text in instances():
+        path = workdir / f"{label.replace('/', '_')}.ini"
+        path.write_text(text, encoding="utf-8")
+        for command, *options in INSTANCE_ARGS:
+            yield [command, label, *options], [command, str(path), *options]
+    yield ["paper-examples"], ["paper-examples"]
+    yield ["selftest"], ["selftest"]
+    for p in (2, 3, 5):
+        for n in range(4 if p < 5 else 3):
+            for r in (2, 3):
+                for kind in ("sum", "product"):
+                    argv = ["witt-polys", "--p", str(p), "--n", str(n), "--r", str(r), "--kind", kind]
+                    yield argv, argv
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for shown, argv in runs(Path(tmp)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            print(f"{' '.join(shown)} exit={code} sha256={digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
