@@ -1,11 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittbox import witt
 from wittbox.errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
 from wittbox.fqfield import power
-from wittbox.poly import MultiPoly, ZZ
+from wittbox.poly import MultiPoly, ZZ, _slots
 from wittbox.witt import (
     PRODUCT,
     SUM,
@@ -101,7 +103,11 @@ ORACLE_CASES = [(p, n, r, kind) for p in (2, 3, 5) for n in range(4) for r in (2
                 for kind in (SUM, PRODUCT) if (p, n) != (5, 3)]
 
 
-@pytest.mark.parametrize("p,n,r,kind", ORACLE_CASES)
+# sums whose coefficient bounds need 78 and 170 bits: fields wider than one word
+WIDE_CASES = [(7, 2, 3, SUM), (13, 2, 2, SUM)]
+
+
+@pytest.mark.parametrize("p,n,r,kind", ORACLE_CASES + WIDE_CASES)
 def test_op_polys_match_reference(p, n, r, kind):
     assert witt_op_polys(p, n, r, kind) == reference_op_polys(p, n, r, kind)
 
@@ -283,7 +289,21 @@ def _aliased(poly, p, n):
     return terms
 
 
-@pytest.mark.parametrize("mutate", [_bump, _drop, _wide, _aliased])
+def _slide(poly, p, n):
+    """One term t moved to t * x0r / x01: the sum keeps it in the same row."""
+    terms = dict(poly.terms)
+    e = min(e for e in terms if e[0])
+    r = len(poly.variables) // (n + 1)
+    moved = (e[0] - 1,) + e[1:r - 1] + (e[r - 1] + 1,) + e[r:]
+    c = terms.get(moved, 0) + terms.pop(e)
+    if c:
+        terms[moved] = c
+    else:
+        terms.pop(moved)
+    return terms
+
+
+@pytest.mark.parametrize("mutate", [_bump, _drop, _wide, _aliased, _slide])
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("kind", [SUM, PRODUCT])
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
@@ -302,6 +322,32 @@ def test_ghost_check_needs_the_coordinates_context():
     polys[0] = MultiPoly.variable(ZZ, ("X0", "Y0"), "X0")
     with pytest.raises(ConfigError):
         ghost_identity_holds(2, 1, 2, SUM, polys)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_ghost_check_needs_one_polynomial_per_coordinate(extra):
+    polys = list(witt_op_polys(2, 1, 2, SUM))
+    names = witt_variable_names(1, 2)
+    polys = polys + [MultiPoly.constant(ZZ, names, 5)] if extra > 0 else polys[:-1]
+    with pytest.raises(ConfigError):
+        ghost_identity_holds(2, 1, 2, SUM, polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([64, 128]).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.lists(st.one_of(st.just(0), st.integers(-(2 ** (width - 1) - 1), 2 ** (width - 1) - 1)),
+                      min_size=1, max_size=12), min_size=1, max_size=4))))
+def test_row_fields_round_trip(case):
+    # row i holds the terms X0^(s - j) * Y0^j, s = 20i + 11, with coefficient
+    # rows[i][j]: X0's slot holds s, and Y0's exponent j picks the field
+    width, rows = case
+    terms = {(20 * i + 11 - j, j): c for i, cs in enumerate(rows) for j, c in enumerate(cs) if c}
+    layout = witt._Rows(_slots(2, 80), 2, width)
+    packed = layout.encode(terms)
+    assert len(packed) == sum(any(cs) for cs in rows)
+    assert layout.terms(packed) == len(terms)
+    assert layout.divide(packed, 1) == terms
 
 
 def test_twisted_polys():

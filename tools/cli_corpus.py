@@ -16,7 +16,9 @@ code changed.  It covers:
   counting kernel enumerates in several rows;
 - `paper-examples` and `selftest`;
 - `witt-polys` for p in {2, 3, 5}, n <= 3 and r in {2, 3}, both kinds, except
-  p = 5 with n = 3.
+  p = 5 with n = 3; and for the larger cases in `WITT_CASES`: sums whose
+  coefficients need fields of more than one word, sums of many arguments, and
+  three-fold products.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ INSTANCE_ARGS = (("count",), ("count", "--partitions", "3"), ("count", "--budget
 # (p, h, n, m) of the multi-row instances: boxes of 2^12 to 5^6 points, which
 # the counting kernel enumerates in rows of at most 2^10
 ROWS = ((2, 1, 3, 4), (2, 2, 2, 3), (3, 1, 2, 4), (3, 2, 2, 2), (5, 1, 2, 3))
+# (p, n, r, kind) of the larger witt-polys runs
+WITT_CASES = ((5, 3, 2, "sum"), (7, 2, 3, "sum"), (13, 2, 2, "sum"), (3, 2, 8, "sum"),
+              (2, 3, 8, "sum"), (3, 1, 40, "sum"), (2, 3, 3, "product"), (3, 3, 3, "product"))
 
 
 def rows_text(rng, p, h, n, m):
@@ -85,12 +90,11 @@ def runs(workdir):
             yield [command, label, *options], [command, str(path), *options]
     yield ["paper-examples"], ["paper-examples"]
     yield ["selftest"], ["selftest"]
-    for p in (2, 3, 5):
-        for n in range(4 if p < 5 else 3):
-            for r in (2, 3):
-                for kind in ("sum", "product"):
-                    argv = ["witt-polys", "--p", str(p), "--n", str(n), "--r", str(r), "--kind", kind]
-                    yield argv, argv
+    small = [(p, n, r, kind) for p in (2, 3, 5) for n in range(4 if p < 5 else 3)
+             for r in (2, 3) for kind in ("sum", "product")]
+    for p, n, r, kind in small + list(WITT_CASES):
+        argv = ["witt-polys", "--p", str(p), "--n", str(n), "--r", str(r), "--kind", kind]
+        yield argv, argv
 
 
 def main():
