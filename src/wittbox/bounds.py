@@ -108,7 +108,7 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
     params = GRParams(spec.field, mk)
     need = 1
     work = 0
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.tuple_terms().items():
         live = [i for i, a in enumerate(to_digits(int_to_gr(coeff, params))) if not a.is_zero()]
         total = sum(exps)
         for i in live:

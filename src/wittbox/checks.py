@@ -67,7 +67,7 @@ def homogeneity_suite():
                         f"weighted homogeneity p={p} r={r} kind={kind} n={nn}",
                         degs == {factor * p ** nn},
                     ))
-                    tdegs = {sum(e) for e in tw.terms}
+                    tdegs = {sum(e) for e in tw.tuple_terms()}
                     results.append((
                         f"twisted total homogeneity p={p} r={r} kind={kind} n={nn}",
                         tdegs == {factor * p ** nn},

@@ -144,7 +144,7 @@ class _IntRing:
 def _compile(poly, coerce):
     """`poly` as [(coefficient, [(variable slot, exponent), ...]), ...]."""
     return [(coerce(c), [(slot, e) for slot, e in enumerate(exps) if e])
-            for exps, c in poly.terms.items()]
+            for exps, c in poly.tuple_terms().items()]
 
 
 def _digit(lo, hi, stride, base):

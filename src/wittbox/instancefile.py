@@ -31,7 +31,7 @@ from .box import box_make, box_variable_names, teichmuller_box
 from .counting import ProblemInstance, make_instance, system_variable_names
 from .errors import BudgetError, ParseError, decimal
 from .fqfield import field_params, fq
-from .poly import FieldDomain, MultiPoly, ZZ, _merge, _raw, _unit
+from .poly import FieldDomain, MultiPoly, ZZ, _codec, _merge, _raw, _terms_in, _unit
 
 # A `^` or `*` whose result could exceed this many terms is refused before it
 # is expanded, so a short line cannot make parsing run for minutes.  Squaring
@@ -121,22 +121,28 @@ class _ExprParser:
             self._fail(f"trailing tokens starting at {self._peek()[1]!r}")
         terms = poly.terms
         if len(used) < len(self.variables):
-            terms, full = {}, [0] * len(self.variables)
-            for exps, c in poly.terms.items():
+            pack, full = _codec(len(self.variables), poly.width)[0], [0] * len(self.variables)
+            terms = {}
+            for exps, c in poly.tuple_terms().items():
                 for k, x in zip(used, exps):
                     full[k] = x
-                terms[tuple(full)] = c
-        return _raw(self.domain, self.variables, terms)
+                terms[pack(full)] = c
+        return _raw(self.domain, self.variables, terms, poly.width)
 
     def _expr(self):
         """A sum or difference of terms, added up in one dict."""
-        terms = dict(self._term().terms)
+        acc = self._term()
+        terms, width = dict(acc.terms), acc.width
         while self._peek() in (("op", "+"), ("op", "-")):
             sign = self._next()[1]
-            rhs = self._term().terms.items()
+            rhs = self._term()
+            if rhs.width > width:  # the sum so far moves to the wider slots
+                terms = _terms_in(_raw(self.domain, self.local, terms, width), rhs.width)
+                width = rhs.width
+            rhs = _terms_in(rhs, width).items()
             _merge(terms, rhs if sign == "+" else ((e, -c) for e, c in rhs), self.domain.zero)
             self._refuse("adding with `+` or `-`", len(terms), math.inf)
-        return _raw(self.domain, self.local, terms)
+        return _raw(self.domain, self.local, terms, width)
 
     def _term(self):
         poly = self._factor()
@@ -200,7 +206,8 @@ def _terms_bound(factors) -> int:
         products *= _binomial(len(f.terms) + e - 1, e) if f.terms else int(e == 0)
     if products <= MAX_POWER_TERMS:
         return products
-    v = sum(1 for column in zip(*(exps for f, _ in factors for exps in f.terms)) if any(column))
+    v = sum(1 for column in zip(*(exps for f, _ in factors for exps in f.tuple_terms()))
+            if any(column))
     return min(_binomial(v + sum(f.total_degree() * e for f, e in factors), v), products)
 
 
@@ -219,7 +226,7 @@ def _parse_modulus(text, p, line):
     poly = parse_poly(text, ZZ, ("t",), line=line)
     degree = poly.total_degree()
     coeffs = [0] * (degree + 1)
-    for (e,), c in poly.terms.items():
+    for (e,), c in poly.tuple_terms().items():
         coeffs[e] = c % p
     return tuple(coeffs)
 

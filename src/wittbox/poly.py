@@ -1,16 +1,19 @@
 """Sparse exact multivariate polynomials over Z or F_q.
 
-Terms map exponent tuples (one slot per declared variable) to nonzero
-coefficients.  All arithmetic is exact; there is no floating point anywhere.
-Serialization uses graded-lex term order in the declared variable order, and
-golden tests depend on that exact rendering.
+Terms map packed exponent keys to nonzero coefficients: each declared
+variable has a slot of `width` bits, a multiple of 8, the first variable in
+the highest slot, so int order on keys is lex order and adding two keys
+multiplies two monomials (Monagan & Pearce, CASC 2007).  Equality and
+hashing do not see the layout; `tuple_terms` is the one way to exponent
+tuples.  All arithmetic is exact.  Rendering uses graded-lex term order in
+the declared variable order, and golden tests pin it.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
-from operator import lshift
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, repeat
+from operator import add, lshift, methodcaller, or_
 
 from .errors import ConfigError, ValidationError
 from .fqfield import FieldParams, GRElem, fq, gr_one, gr_zero, power
@@ -74,30 +77,31 @@ ZZ = IntegerDomain()
 
 
 class MultiPoly:
-    __slots__ = ("domain", "variables", "terms")
+    __slots__ = ("domain", "variables", "terms", "width")
 
     def __init__(self, domain, variables, terms):
-        self.domain = domain
-        self.variables = tuple(variables)
-        clean = {}
-        arity = len(self.variables)
+        """The polynomial with the given {exponent tuple: coefficient} terms."""
+        self.domain, self.variables = domain, tuple(variables)
+        clean, arity = {}, len(self.variables)
         for exps, c in terms.items():
             if len(exps) != arity:
                 raise ValidationError("exponent vector arity mismatch")
             c = domain.coerce(c)
             if c != domain.zero:
                 clean[tuple(exps)] = c
-        self.terms = clean
+        self.width = _width(max(chain.from_iterable(clean), default=0))
+        self.terms = dict(zip(map(_codec(arity, self.width)[0], clean), clean.values()))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, domain, variables):
-        return cls(domain, variables, {})
+        return _raw(domain, tuple(variables), {}, 8)
 
     @classmethod
     def constant(cls, domain, variables, value):
-        return cls(domain, variables, {(0,) * len(variables): value})
+        c = domain.coerce(value)
+        return _raw(domain, tuple(variables), {} if c == domain.zero else {0: c}, 8)
 
     @classmethod
     def variable(cls, domain, variables, name):
@@ -114,64 +118,68 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
+        width = max(self.width, other.width)
+        return (self.domain == other.domain and self.variables == other.variables
+                and _terms_in(self, width) == _terms_in(other, width))
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, frozenset(self.tuple_terms().items())))
 
-    def _check(self, other):
-        if self.domain != other.domain or self.variables != other.variables:
+    def _operand(self, other):
+        """`other` as a polynomial of this context: a constant, or checked."""
+        if not isinstance(other, MultiPoly):
+            return MultiPoly.constant(self.domain, self.variables, other)
+        if self.domain != other.domain or (
+                self.variables is not other.variables and self.variables != other.variables):
             raise ConfigError("polynomials from different contexts")
+        return other
+
+    def tuple_terms(self):
+        """{exponent tuple: coefficient}: the terms, each key unpacked once."""
+        unpack = _codec(len(self.variables), self.width)[1]
+        return dict(zip(map(tuple, map(unpack, self.terms)), self.terms.values()))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.domain, self.variables, other)
-        self._check(other)
-        terms = _merge(dict(self.terms), other.terms.items(), self.domain.zero)
-        return _raw(self.domain, self.variables, terms)
+        other = self._operand(other)
+        width = max(self.width, other.width)
+        terms = _merge(dict(_terms_in(self, width)), _terms_in(other, width).items(), self.domain.zero)
+        return _raw(self.domain, self.variables, terms, width)
 
     def __neg__(self):
-        return _raw(self.domain, self.variables, {e: -c for e, c in self.terms.items()})
+        return _raw(self.domain, self.variables, {k: -c for k, c in self.terms.items()}, self.width)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.domain, self.variables, other)
-        return self + (-other)
+        return self + -self._operand(other)
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.domain, self.variables, other)
-        self._check(other)
-        slots = _slots(len(self.variables), _top(self.terms) + _top(other.terms))
-        product = _packed_mul(_pack(self.terms, slots), _pack(other.terms, slots),
-                              self.domain.zero)
-        return _unpack(self.domain, self.variables, product, slots)
+        """Key sums, in the wider layout unless a slot with its top bit set could overflow."""
+        other = self._operand(other)
+        width = max(self.width, other.width)
+        guard = _codec(len(self.variables), width)[2]
+        if any(f.width == width and reduce(or_, f.terms, 0) & guard for f in (self, other)):
+            width = _width(_bound(self) + _bound(other), width)
+        product = _packed_mul(_terms_in(self, width), _terms_in(other, width), self.domain.zero)
+        return _raw(self.domain, self.variables, product, width)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        """Square-and-multiply on packed exponents, unpacked once at the end."""
+        """Square-and-multiply on the keys, in a layout that holds e * each exponent."""
         if e < 0:
             raise ValidationError("negative polynomial power")
         if e == 0:
             return MultiPoly.constant(self.domain, self.variables, self.domain.one)
-        slots = _slots(len(self.variables), _top(self.terms) * e)
-        product = power(_pack(self.terms, slots), e, partial(_packed_mul, zero=self.domain.zero))
-        return _unpack(self.domain, self.variables, product, slots)
+        width = _width(_bound(self) * e, self.width)
+        product = power(_terms_in(self, width), e, partial(_packed_mul, zero=self.domain.zero))
+        return _raw(self.domain, self.variables, product, width)
 
     # -- degrees ------------------------------------------------------------
 
     def total_degree(self) -> int:
         """Max total degree over terms; the zero polynomial has degree 0."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.tuple_terms()), default=0)
 
     def weighted_degrees(self, weights):
         """Set of per-term weighted degrees under the given variable weights."""
@@ -179,19 +187,17 @@ class MultiPoly:
             if v not in weights:
                 raise ConfigError(f"no weight for variable {v!r}")
         w = [weights[v] for v in self.variables]
-        return {sum(x * wi for x, wi in zip(e, w)) for e in self.terms}
+        return {sum(x * wi for x, wi in zip(e, w)) for e in self.tuple_terms()}
 
     def weighted_degree(self, weights) -> int:
-        degs = self.weighted_degrees(weights)
-        return max(degs) if degs else 0
+        return max(self.weighted_degrees(weights), default=0)
 
     # -- structure maps -----------------------------------------------------
 
     def _remap(self, remap):
-        """The polynomial with each exponent tuple e replaced by remap(e), like
-        terms merged."""
-        terms = ((remap(e), c) for e, c in self.terms.items())
-        return _raw(self.domain, self.variables, _merge({}, terms, self.domain.zero))
+        """The polynomial with each exponent tuple e replaced by remap(e)."""
+        terms = ((remap(e), c) for e, c in self.tuple_terms().items())
+        return MultiPoly(self.domain, self.variables, _merge({}, terms, self.domain.zero))
 
     def scale_exponents(self, factors):
         """Substitute x -> x^k per the variable->k map (unspecified vars keep 1)."""
@@ -213,8 +219,7 @@ class MultiPoly:
     def is_reduced(self) -> bool:
         if not isinstance(self.domain, FieldDomain):
             raise ConfigError("reducedness is defined over F_q only")
-        q = self.domain.params.q
-        return all(x <= q - 1 for e in self.terms for x in e)
+        return max(chain.from_iterable(self.tuple_terms()), default=0) < self.domain.params.q
 
     # -- evaluation ---------------------------------------------------------
 
@@ -223,48 +228,49 @@ class MultiPoly:
         for v in self.variables:
             if v not in assignment:
                 raise ConfigError(f"no value assigned to variable {v!r}")
-        if coerce is None:
-            coerce = lambda c: c
-        total = None
-        for exps, c in self.terms.items():
+        coerce = coerce or (lambda c: c)
+        total = coerce(self.domain.zero)
+        for exps, c in self.tuple_terms().items():
             v = coerce(c)
             for name, e in zip(self.variables, exps):
                 if e:
                     v = v * assignment[name] ** e
-            total = v if total is None else total + v
-        if total is None:
-            return coerce(self.domain.zero)
+            total = total + v
         return total
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form: graded-lex term order, explicit `*` and `^`."""
+        """Canonical text form: graded-lex term order, explicit `*` and `^`.
+
+        Terms sort as the ints degree * 2^bits + key, `bits` the width of a
+        key: within a degree, int order on keys is lex order on exponents.
+        """
         if not self.terms:
             return "0"
         terms, names = self.terms, self.variables
+        unpack = _codec(len(names), self.width)[1]
+        bits = len(names) * self.width
+        mask = (1 << bits) - 1
         integer = isinstance(self.domain, IntegerDomain)
         pieces = []
-        for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
-            c = terms[exps]
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
-                if e
-            )
+        for key in sorted(map(add, map(lshift, map(sum, map(unpack, terms)), repeat(bits)), terms),
+                          reverse=True):
+            key &= mask
+            c = terms[key]
+            exps = unpack(key)
+            mono = "*".join(map(_power_text, compress(names, exps), compress(exps, exps)))
             if integer:
                 mag = -c if c < 0 else c
                 body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
                 pieces.append((" - " if c < 0 else " + ") + body)
             else:
                 lit = c.render()
-                if mono and lit == "1":
-                    body = mono
-                elif mono:
+                if mono and lit != "1":
                     lit = f"({lit})" if ("+" in lit or "-" in lit) else lit
                     body = f"{lit}*{mono}"
                 else:
-                    body = lit
+                    body = mono or lit
                 pieces.append(" + " + body)
         out = "".join(pieces)
         return ("-" if out[1] == "-" else "") + out[3:]
@@ -273,64 +279,75 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
-# -- packed exponents ---------------------------------------------------------
+@lru_cache(maxsize=4096)
+def _power_text(name, e):
+    return name if e == 1 else f"{name}^{e}"
+
+
+# -- layouts ------------------------------------------------------------------
 #
-# Multiplication packs each exponent tuple into one int, one fixed-width slot
-# per variable with the first variable in the highest slot (Monagan & Pearce,
-# CASC 2007).  The width holds the largest exponent the product can reach, so
-# adding two keys adds the exponent vectors without a carry between slots.
+# Slots are whole bytes, so a key converts to and from its exponents with
+# C-level `int.to_bytes`/`int.from_bytes`.
+
+def _width(top: int, width: int = 0) -> int:
+    """`width` if exponents up to `top` fit in it, else the least multiple of 8
+    above the bit length of `top`, which leaves the top bit of every slot clear."""
+    return width if width and top >> width == 0 else (top.bit_length() // 8 + 1) * 8
 
 
-def _top(terms) -> int:
-    """The largest exponent of any variable in any term."""
-    return max(chain.from_iterable(terms), default=0)
+@lru_cache(maxsize=64)
+def _codec(arity: int, width: int):
+    """(pack, unpack, guard) of this layout: pack takes any sequence of
+    exponents to its key, unpack gives a key's exponents as bytes for
+    one-byte slots, else as a tuple, and guard has the top bit of each slot."""
+    size = width // 8
+    guard = int.from_bytes((b"\x80" + bytes(size - 1)) * arity, "big")
+    if size == 1:
+        return (lambda exps: int.from_bytes(bytes(exps), "big"),
+                methodcaller("to_bytes", arity, "big"), guard)
+
+    def unpack(key):
+        raw = key.to_bytes(arity * size, "big")
+        return tuple(int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size))
+    return (lambda exps: int.from_bytes(b"".join(e.to_bytes(size, "big") for e in exps), "big"),
+            unpack, guard)
 
 
-def _slots(arity: int, top: int):
-    """Bit offset of each variable's slot, and the slot mask, for exponents <= `top`."""
-    width = max(top.bit_length(), 1)
-    return range(width * (arity - 1), -1, -width), (1 << width) - 1
+def _bound(f) -> int:
+    """The largest slot of the OR of f's keys: at least f's top exponent, under twice it."""
+    return max(_codec(len(f.variables), f.width)[1](reduce(or_, f.terms, 0)), default=0)
 
 
-def _pack(terms, slots):
-    """{packed key: coefficient} for a tuple-keyed term dict."""
-    shifts = slots[0]
-    return {sum(map(lshift, exps, shifts)): c for exps, c in terms.items()}
+def _terms_in(f, width):
+    """f's terms keyed in slots `width` bits wide, which must hold its exponents."""
+    if f.width == width:
+        return f.terms
+    pack, unpack = _codec(len(f.variables), width)[0], _codec(len(f.variables), f.width)[1]
+    return {pack(unpack(key)): c for key, c in f.terms.items()}
 
 
-def _unpack(domain, variables, packed, slots):
-    """The polynomial over `domain` in `variables` with the given packed terms."""
-    shifts, mask = slots
-    return _raw(domain, variables,
-                {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()})
-
-
-def _raw(domain, variables, terms):
-    """The polynomial with the given terms, taken as they are: the one
+def _raw(domain, variables, terms, width):
+    """The polynomial with the given packed terms, taken as they are: the one
     constructor that neither coerces nor checks them."""
     out = MultiPoly.__new__(MultiPoly)
-    out.domain, out.variables, out.terms = domain, variables, terms
+    out.domain, out.variables, out.terms, out.width = domain, variables, terms, width
     return out
 
 
 def _unit(domain, variables, index):
     """The variable variables[index]."""
-    exps = [0] * len(variables)
-    exps[index] = 1
-    return _raw(domain, variables, {tuple(exps): domain.one})
+    return _raw(domain, variables, {1 << 8 * (len(variables) - 1 - index): domain.one}, 8)
 
 
 def _merge(acc, terms, zero):
     """acc += the (key, coefficient) pairs `terms` in place, deleting keys that cancel."""
     for key, c in terms:
         if key in acc:
-            s = acc[key] + c
-            if s == zero:
+            c = acc[key] + c
+            if c == zero:
                 del acc[key]
-            else:
-                acc[key] = s
-        else:
-            acc[key] = c
+                continue
+        acc[key] = c
     return acc
 
 

@@ -10,11 +10,11 @@ where G_n is the sum (resp. product) of the ghost components of the r
 argument vectors.  The division is exact over Z for prime p; a remainder
 means p is not prime or the arithmetic is broken, and aborts loudly.
 
-The recursion runs on packed exponent keys (see `poly._pack`) in one slot
-layout per call, wide enough for p^n, the largest exponent any of its terms
-reaches.  The sum keeps the terms of a key in one row (Kronecker
-substitution): x0r's slot stays empty, x01's holds e01 + e0r, and c x^e adds
-c * 2^(W*e0r) to the key's row.  As (e01, e0r) -> (e01 + e0r, e0r) is
+The recursion runs on the packed keys of `poly` in the layout for p^n, the
+largest exponent it forms, and returns its coordinates in that layout.  The
+sum keeps the terms of a key in one row (Kronecker substitution): x0r's slot
+stays empty, x01's holds e01 + e0r, and c x^e adds c * 2^(W*e0r) to the
+key's row.  As (e01, e0r) -> (e01 + e0r, e0r) is
 unimodular, one multiplication of rows is exactly a row of term products.
 The product keeps one coefficient per key: M_k is homogeneous in each
 argument, so the other digits of arguments 1 and r fix e01 and e0r.
@@ -23,12 +23,12 @@ argument, so the other digits of arguments 1 and r fix e01 and e0r.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache, partial
-from operator import lshift
+from functools import lru_cache, partial, reduce
+from itertools import chain
 
 from .errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
 from .fqfield import power
-from .poly import ZZ, _merge, _pack, _packed_mul, _raw, _slots, _top
+from .poly import ZZ, _bound, _merge, _packed_mul, _raw, _terms_in, _width
 
 SUM = "sum"
 PRODUCT = "product"
@@ -75,32 +75,32 @@ def _field_width(p, k, r, kind, polys):
 
 class _Rows:
     """Terms in rows of signed fields `width` bits wide, or one coefficient
-    per key when `width` is 0."""
+    per key when `width` is 0, keyed in slots `slot` bits wide."""
 
-    __slots__ = ("shifts", "mask", "width", "last", "lift", "half", "bias")
+    __slots__ = ("arity", "slot", "low", "mask", "width", "lift", "half", "bias")
 
-    def __init__(self, slots, r, width):
-        self.shifts, self.mask = slots
-        self.width, self.last = width, r - 1
-        self.lift = (1 << slots[0][0]) - (1 << slots[0][r - 1])
+    def __init__(self, arity, slot, r, width):
+        self.arity, self.slot, self.width = arity, slot, width
+        self.low, self.mask = slot * (arity - r), (1 << slot) - 1
+        self.lift = (1 << slot * (arity - 1)) - (1 << self.low)
         self.half = 1 << width >> 1
         self.bias = self.half.to_bytes(width // 8, "little")
 
     def encode(self, terms):
-        """{row key: row} of a tuple-keyed term dict."""
-        shifts, last, lift, width = self.shifts, self.last, self.lift, self.width
+        """{row key: row} of a term dict in this layout."""
+        low, mask, lift, width = self.low, self.mask, self.lift, self.width
         if not width:
-            return _pack(terms, (shifts, self.mask))
+            return terms
         rows = {}
-        for exps, c in terms.items():
-            e = exps[last]
-            key = sum(map(lshift, exps, shifts)) + e * lift
+        for key, c in terms.items():
+            e = key >> low & mask
+            key += e * lift
             rows[key] = rows.get(key, 0) + (c << width * e)
         return rows
 
     def unit(self, index):
         """The variable in slot `index`."""
-        return self.encode({tuple(int(i == index) for i in range(len(self.shifts))): 1})
+        return self.encode({1 << self.slot * (self.arity - 1 - index): 1})
 
     def fields(self, row):
         """[(e0r, c)] for the nonzero fields of a row, e0r from 0 up."""
@@ -119,24 +119,20 @@ class _Rows:
         return sum(len(self.fields(row)) for row in rows.values()) if self.width else len(rows)
 
     def divide(self, rows, d):
-        """{exponent tuple: coefficient / d} of the terms the rows hold; every
-        coefficient must be divisible, and the first that is not is named."""
-        shifts, mask, last, half, out = self.shifts, self.mask, self.last, self.half, {}
+        """{key: coefficient / d} of the terms the rows hold; every coefficient
+        must be divisible, and the first that is not is named."""
+        half, lift, out = self.half, self.lift, {}
         for key, row in rows.items():
             if not half or -half < row < half:
                 q, rem = divmod(row, d)
                 if not rem:
-                    out[tuple([(key >> s) & mask for s in shifts])] = q
+                    out[key] = q
                     continue
-            exps = [(key >> s) & mask for s in shifts]
-            top = exps[0]
             for e, c in self.fields(row):
                 q, rem = divmod(c, d)
                 if rem:
                     raise ExactDivisionError(f"coefficient {c} not divisible by {d}")
-                if e:
-                    exps[0], exps[last] = top - e, e
-                out[tuple(exps)] = q
+                out[key - e * lift] = q
         return out
 
 
@@ -173,15 +169,15 @@ def witt_op_polys(p: int, n: int, r: int, kind: str):
     if kind not in (SUM, PRODUCT):
         raise ValidationError(f"unknown kind {kind!r}")
     names = witt_variable_names(n, r)
-    slots, product = _slots(len(names), p ** n), _budget()
+    slot, product = _width(p ** n), _budget()
     polys = []
     for k in range(n + 1):
-        rows = _Rows(slots, r, _field_width(p, k, r, kind, polys))
+        rows = _Rows(len(names), slot, r, _field_width(p, k, r, kind, polys))
         mul = partial(product, terms=rows.terms)
         g = _ghost_combination(p, k, r, kind, rows, mul)
         _merge(g, ((key, -c) for key, c in
                    _witt_sum(p, k, [rows.encode(f.terms) for f in polys], mul).items()), 0)
-        polys.append(_raw(ZZ, names, rows.divide(g, p ** k)))
+        polys.append(_raw(ZZ, names, rows.divide(g, p ** k), slot))
     return tuple(polys)
 
 
@@ -191,42 +187,36 @@ def _ghost_combination(p, k, r, kind, rows, product):
     ghosts = [_witt_sum(p, k, [rows.unit(i * r + j) for i in range(k + 1)], product)
               for j in range(r)]
     if kind == SUM:
-        g = {}
-        for gh in ghosts:
-            _merge(g, gh.items(), 0)
-    else:
-        g = {0: 1}
-        for gh in ghosts:
-            g = product(g, gh)
-    return g
+        return _merge({}, chain.from_iterable(gh.items() for gh in ghosts), 0)
+    return reduce(product, ghosts, {0: 1})
 
 
 @lru_cache(maxsize=None)
 def twisted_digit_polys(p: int, n: int, r: int, kind: str):
     """s_n^(r) / m_n^(r): substitute x_ij -> x_ij^(p^i) in the S/M coordinates."""
-    polys = witt_op_polys(p, n, r, kind)
-    factors = {}
-    for i in range(n + 1):
-        for j in range(1, r + 1):
-            factors[witt_var(r, i, j)] = p ** i
-    return tuple(poly.scale_exponents(factors) for poly in polys)
+    factors = {witt_var(r, i, j): p ** i for i in range(n + 1) for j in range(1, r + 1)}
+    return tuple(poly.scale_exponents(factors) for poly in witt_op_polys(p, n, r, kind))
 
 
 def ghost_identity_holds(p: int, n: int, r: int, kind: str, polys) -> bool:
     """Whether w_k(P_0..P_k) equals the sum/product of ghost components for all k <= n.
 
-    The slots hold top(polys) * p^n, the largest exponent of w_k(P_0..P_k),
-    so a term of a mutated P_i cannot carry into another variable's slot.
-    The inputs are encoded once, in the fields of step n, the widest.
+    Every exponent formed is at most max(p^n, max_i top(P_i) * p^(n-i)), so
+    slots that hold it keep a mutated P_i from carrying into another slot.
+    Inputs in one layout that holds it, as `witt_op_polys` returns them, are
+    read as they are; others are repacked.  They are encoded once, in the
+    fields of step n, the widest.
     """
     names = witt_variable_names(n, r)
     if len(polys) != n + 1:
         raise ConfigError(f"need {n + 1} polynomials P_0..P_{n}, got {len(polys)}")
     if any(f.domain != ZZ or f.variables != names for f in polys):
         raise ConfigError("polynomials from different contexts")
-    slots = _slots(len(names), max(1, *(_top(f.terms) for f in polys)) * p ** n)
-    rows = _Rows(slots, r, _field_width(p, n, r, kind, polys))
-    xs, product = [rows.encode(f.terms) for f in polys], partial(_budget(), terms=rows.terms)
+    top = max(p ** n, *(_bound(f) * p ** (n - i) for i, f in enumerate(polys)))
+    slot = _width(top, polys[0].width if len({f.width for f in polys}) == 1 else 0)
+    rows = _Rows(len(names), slot, r, _field_width(p, n, r, kind, polys))
+    xs = [rows.encode(_terms_in(f, slot)) for f in polys]
+    product = partial(_budget(), terms=rows.terms)
     return all(_witt_sum(p, k, xs[:k + 1], product) == _ghost_combination(p, k, r, kind, rows, product)
                for k in range(n + 1))
 

@@ -173,7 +173,7 @@ def enumerated_minimal_d(inst, k):
     p, h, m = spec.field.p, spec.field.h, spec.m
     params = GRParams(spec.field, mk)
     need, work = 1, 0
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.tuple_terms().items():
         digits = to_digits(int_to_gr(coeff, params))
         slots = [l for l, e in enumerate(exps, start=1) for _ in range(e)]
         for i in range(mk):

@@ -89,6 +89,17 @@ def test_bound_command_inapplicable_closeness(capsys, tmp_path):
     assert "closeness violated" in out
 
 
+def test_bound_with_a_multi_word_exponent(capsys, tmp_path):
+    # 10^23 needs 77 bits: the exponent slots are wider than a machine word
+    path = tmp_path / "huge.ini"
+    path.write_text("[ring]\np = 2\nh = 1\n\n[problem]\nn = 1\nm = 1\n\n[system]\n"
+                    "f1 = x1^100000000000000000000000 + 1 mod p^1\n")
+    code, out = run(capsys, "bound", str(path))
+    assert code == EXIT_OK
+    assert "note.improved=per-term degree condition satisfied by construction; " \
+           "d=100000000000000000000000\n" in out
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.ini"
     path.write_text("[ring]\np = 2\n")

@@ -247,9 +247,9 @@ def corpus(p, h, kind):
 def components(inst, generators=True):
     """Column sets joined by the monomials of the f_k and, optionally, by
     the generators below M' together with the columns they read."""
-    links = [{j for j, e in enumerate(exps, 1) if e} for f, _ in inst.system for exps in f.terms]
+    links = [{j for j, e in enumerate(exps, 1) if e} for f, _ in inst.system for exps in f.tuple_terms()]
     if generators:
-        links += [{j} | {column_of(name) for exps in g.terms
+        links += [{j} | {column_of(name) for exps in g.tuple_terms()
                          for name, e in zip(g.variables, exps) if e}
                   for (i, j), g in inst.box.generators.items() if i < inst.working_precision]
     owner = {j: {j} for j in range(1, inst.box.n + 1)}
@@ -312,13 +312,13 @@ def test_corpus_covers_the_cases():
     insts = [inst for p, h in FIELDS for kind in KINDS for inst in corpus(p, h, kind)]
     sides = {(mk > inst.box.m) - (mk < inst.box.m) for inst in insts for _, mk in inst.system}
     assert sides == {-1, 0, 1}
-    coeffs = [(e, c) for inst in insts for f, _ in inst.system for e, c in f.terms.items()]
+    coeffs = [(e, c) for inst in insts for f, _ in inst.system for e, c in f.tuple_terms().items()]
     assert any(c < 0 for _, c in coeffs)
     assert any(not any(e) for e, _ in coeffs)
     # some generator reads a digit outside its own column: the box is not split
     assert any(
         any(e and int(name.split("[")[2][:-1]) != j for name, e in zip(g.variables, exps))
-        for inst in insts for (_, j), g in inst.box.generators.items() for exps in g.terms
+        for inst in insts for (_, j), g in inst.box.generators.items() for exps in g.tuple_terms()
     )
     counts = [count_zeros(inst).cardinality for inst in insts]
     assert sum(c > 0 for c in counts) >= len(counts) // 4
@@ -329,14 +329,14 @@ def test_corpus_covers_the_cases():
     assert max(sizes) >= 3
     split = [inst for inst, k in zip(insts, sizes) if k >= 2 and inst.box.generators and all(
         column_of(name) == j for (_, j), g in inst.box.generators.items()
-        for exps in g.terms for name, e in zip(g.variables, exps) if e)]
+        for exps in g.tuple_terms() for name, e in zip(g.variables, exps) if e)]
     assert split
     assert any(len(components(inst)) < len(components(inst, generators=False)) for inst in insts)
     assert any(i >= inst.working_precision and any(
-        column_of(name) != j for exps in g.terms for name, e in zip(g.variables, exps) if e)
+        column_of(name) != j for exps in g.tuple_terms() for name, e in zip(g.variables, exps) if e)
         for inst in insts for (i, j), g in inst.box.generators.items())
     assert any(set().union(*components(inst)) - {
-        j for f, _ in inst.system for exps in f.terms for j, e in enumerate(exps, 1) if e}
+        j for f, _ in inst.system for exps in f.tuple_terms() for j, e in enumerate(exps, 1) if e}
         for inst in insts)
     assert any(len(set(inst.moduli)) > 1 for inst, k in zip(insts, sizes) if k >= 2)
     assert {inst.field.h for inst, k in zip(insts, sizes) if k >= 2} == {1, 2, 3}
@@ -349,7 +349,7 @@ def test_elimination_corpus_covers_the_cases():
     assert {inst.field.h for inst in insts} == {1, 2, 3}
     sides = {(mk > inst.box.m) - (mk < inst.box.m) for inst in insts for _, mk in inst.system}
     assert sides == {-1, 0, 1}
-    coeffs = [(e, c) for inst in insts for f, _ in inst.system for e, c in f.terms.items()]
+    coeffs = [(e, c) for inst in insts for f, _ in inst.system for e, c in f.tuple_terms().items()]
     assert any(c < 0 for _, c in coeffs) and any(not any(e) for e, c in coeffs if c)
     assert sum(count_zeros(inst).cardinality > 0 for inst in insts) >= len(insts) / 2
     # every instance is one component, and most have columns summed out

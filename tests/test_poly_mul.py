@@ -2,7 +2,9 @@
 
 The reference multiplies tuple-keyed term dicts with a plain double loop and
 drops zero coefficients with the domain's own coerce and zero, so it shares
-nothing with the packed keys of `MultiPoly.__mul__`/`__pow__`.
+nothing with the packed keys of `MultiPoly.__mul__`/`__pow__`.  The same
+polynomial in two slot layouts must compare, hash and render the same, and
+render's term order is checked against a sort of the exponent tuples.
 """
 
 from hypothesis import given, settings
@@ -16,14 +18,15 @@ DOMAINS = {
     "ZZ": (ZZ, st.integers(-6, 6)),
     "F_4": (FieldDomain(F4), st.sampled_from(fq_enumerate(F4))),
 }
-HUGE = 2 ** 40
-EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from([HUGE - 1, HUGE, 2 ** 39 + 1]))
+HUGE = 2 ** 65  # exponent slots wider than a machine word
+EXPONENTS = st.one_of(st.integers(0, 3),
+                      st.sampled_from([HUGE - 1, HUGE, 2 ** 64 + 1, 2 ** 40, 2 ** 39 + 1, 200]))
 
 
 def naive_mul(f, g):
     dom, acc = f.domain, {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.tuple_terms().items():
+        for e2, c2 in g.tuple_terms().items():
             key = tuple(a + b for a, b in zip(e1, e2))
             acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
     terms = {}
@@ -38,7 +41,7 @@ def naive_pow(f, e):
     result = MultiPoly.constant(f.domain, f.variables, f.domain.one)
     for _ in range(e):
         result = MultiPoly(f.domain, f.variables, naive_mul(result, f))
-    return result.terms
+    return result.tuple_terms()
 
 
 @st.composite
@@ -58,15 +61,15 @@ def poly_pairs(draw):
 @given(poly_pairs())
 def test_mul_matches_naive(pair):
     f, g = pair
-    assert (f * g).terms == naive_mul(f, g)
-    assert (g * f).terms == naive_mul(g, f)
+    assert (f * g).tuple_terms() == naive_mul(f, g)
+    assert (g * f).tuple_terms() == naive_mul(g, f)
 
 
 @settings(max_examples=150, deadline=None)
 @given(poly_pairs(), st.integers(0, 4))
 def test_pow_matches_naive(pair, e):
     f, _ = pair
-    assert (f ** e).terms == naive_pow(f, e)
+    assert (f ** e).tuple_terms() == naive_pow(f, e)
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,7 +78,7 @@ def test_pow_with_huge_exponent(a, sign, shift):
     # (sign * x^a * y)^(2^40 - shift): one term, exponents far past 2^40
     e = HUGE - shift
     f = MultiPoly(ZZ, ("x", "y"), {(a, 1): sign})
-    assert (f ** e).terms == {(a * e, e): sign ** (e % 2)}
+    assert (f ** e).tuple_terms() == {(a * e, e): sign ** (e % 2)}
 
 
 def test_constants_zero_and_cancellation():
@@ -88,10 +91,63 @@ def test_constants_zero_and_cancellation():
         empty = MultiPoly.constant(dom, (), 1)
         assert (empty * empty) == empty and (empty ** 5) == empty
     x, y = (MultiPoly.variable(ZZ, ("x", "y"), v) for v in "xy")
-    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
+    assert ((x + y) * (x - y)).tuple_terms() == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
     u = MultiPoly.variable(FieldDomain(F4), ("u",), "u")
-    assert ((u + 1) ** 2).terms == (u * u + 1).terms  # 2u = 0 in characteristic 2
+    assert ((u + 1) ** 2).tuple_terms() == (u * u + 1).tuple_terms()  # 2u = 0 in characteristic 2
     t = fq(F4, [0, 1])
     # (u + t)(u + t + 1) = u^2 + u + t^2 + t: the t in the u coefficient cancels
-    assert ((u + t) * (u + t + 1)).terms == (u * u + u + 1).terms
+    assert ((u + t) * (u + t + 1)).tuple_terms() == (u * u + u + 1).tuple_terms()
     assert ((u * t + u * (t + fq(F4, 1)) + u) * u).is_zero()  # t + (t + 1) + 1 = 0
+
+
+def _wide_one(dom, names):
+    """1 in 16-bit slots: x^300 - x^300 + 1 keeps the layout its power widened to."""
+    if not names:
+        return MultiPoly.constant(dom, names, 1)
+    x = MultiPoly.variable(dom, names, names[0])
+    return x ** 300 - x ** 300 + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_layouts_do_not_change_the_polynomial(pair):
+    f, _ = pair
+    wide = f * _wide_one(f.domain, f.variables)
+    rebuilt = MultiPoly(f.domain, f.variables, wide.tuple_terms())
+    assert wide.width >= 16 or not f.variables
+    for g in (wide, rebuilt):
+        assert g == f and f == g and hash(g) == hash(f)
+        assert g.render() == f.render() and g.tuple_terms() == f.tuple_terms()
+        assert len(g.terms) == len(f.terms)
+    assert f + wide == f * 2 and (wide - f).is_zero()
+
+
+def _reference_render(f):
+    """render() of a polynomial with all coefficients 1, from the tuple order."""
+    def mono(exps):
+        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(f.variables, exps) if e)
+        return text or "1"
+    order = sorted(f.tuple_terms(), key=lambda e: (sum(e), e), reverse=True)
+    return " + ".join(map(mono, order)) or "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.sets(st.tuples(*[EXPONENTS] * n), max_size=8)
+                                 .map(lambda es: (n, es))))
+def test_render_order_matches_the_tuple_sort(case):
+    n, exps = case
+    f = MultiPoly(ZZ, tuple("xyz"[:n]), dict.fromkeys(exps, 1))
+    assert f.render() == _reference_render(f)
+    assert (f * _wide_one(ZZ, f.variables)).render() == _reference_render(f)
+
+
+def test_wide_contexts():
+    # 2^14 declared variables: a key spans 2^14 slots
+    names = tuple(f"x{i}" for i in range(1 << 14))
+    x, y = (MultiPoly.variable(ZZ, names, v) for v in ("x0", "x16383"))
+    f = (x * y) ** 2 + x * 3
+    last = (0,) * ((1 << 14) - 1)
+    assert f.tuple_terms() == {(2,) + last[1:] + (2,): 1, (1,) + last: 3}
+    assert f == MultiPoly(ZZ, names, f.tuple_terms())
+    assert f.render() == "x0^2*x16383^2 + 3*x0"
+    assert (f - x * 3) * (y ** 300) == x ** 2 * y ** 302

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from wittbox import witt
 from wittbox.errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
 from wittbox.fqfield import power
-from wittbox.poly import MultiPoly, ZZ, _slots
+from wittbox.poly import MultiPoly, ZZ
 from wittbox.witt import (
     PRODUCT,
     SUM,
@@ -67,7 +67,7 @@ def _ref_ghost_combination(p, k, n, r, kind, names, mul):
 
 def _ref_exact_div(f, d):
     terms = {}
-    for e, c in f.terms.items():
+    for e, c in f.tuple_terms().items():
         if c % d != 0:
             raise ExactDivisionError(f"coefficient {c} not divisible by {d}")
         terms[e] = c // d
@@ -168,12 +168,12 @@ def test_witt_poly_small():
         xs = [MultiPoly.variable(ZZ, names, name) for name in names]
         return _ref_witt_sum(2, k, xs, names, _ref_checked_mul())
 
-    assert w(0).terms == {(1,): 1}
-    assert w(2).terms == {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 4}  # X0^4 + 2 X1^2 + 4 X2
+    assert w(0).tuple_terms() == {(1,): 1}
+    assert w(2).tuple_terms() == {(4, 0, 0): 1, (0, 2, 0): 2, (0, 0, 1): 4}  # X0^4 + 2 X1^2 + 4 X2
     # a prefix of the variables gives the first terms of w_k only
     names = ("X0", "X1", "X2")
     xs = [MultiPoly.variable(ZZ, names, name) for name in names[:2]]
-    assert _ref_witt_sum(2, 2, xs, names, _ref_checked_mul()).terms == {(4, 0, 0): 1, (0, 2, 0): 2}
+    assert _ref_witt_sum(2, 2, xs, names, _ref_checked_mul()).tuple_terms() == {(4, 0, 0): 1, (0, 2, 0): 2}
 
 
 def test_variable_names():
@@ -254,7 +254,7 @@ def test_ghost_negative_control():
 
 def _bump(poly, p, n):
     """One coefficient plus 1."""
-    terms = dict(poly.terms)
+    terms = dict(poly.tuple_terms())
     e = min(terms)
     terms[e] += 1
     return terms
@@ -262,36 +262,41 @@ def _bump(poly, p, n):
 
 def _drop(poly, p, n):
     """One term removed."""
-    terms = dict(poly.terms)
+    terms = dict(poly.tuple_terms())
     del terms[min(terms)]
     return terms
 
 
 def _wide(poly, p, n):
     """A term x^(p^n + 1) on the last variable, past any exponent of the coordinates."""
-    return {**poly.terms, (0,) * (len(poly.variables) - 1) + (p ** n + 1,): 1}
+    return {**poly.tuple_terms(), (0,) * (len(poly.variables) - 1) + (p ** n + 1,): 1}
 
 
-def _aliased(poly, p, n):
+def _aliased(poly, p, n, shift=None):
     """One term t moved to t * x_b^E / x_(b-1), for E = 2^bitlength(p^n) > p^n.
 
     In slots only p^n wide, with x_(b-1) in the slot above x_b, x_b^E packs to
     the key of x_(b-1), so a check that packed the mutated input that narrowly
     would see P_k unchanged.
     """
-    terms = dict(poly.terms)
+    terms = dict(poly.tuple_terms())
     e = next(e for e in sorted(terms) if any(e[:-1]))
     b = next(i for i, x in enumerate(e[:-1]) if x) + 1
     moved = list(e)
     moved[b - 1] -= 1
-    moved[b] += 1 << (p ** n).bit_length()
+    moved[b] += 1 << (shift or (p ** n).bit_length())
     terms[tuple(moved)] = terms.pop(e)
     return terms
 
 
+def _aliased_in_slots(poly, p, n):
+    """`_aliased` with E = 2^width, width that of the slots the coordinates come in."""
+    return _aliased(poly, p, n, poly.width)
+
+
 def _slide(poly, p, n):
     """One term t moved to t * x0r / x01: the sum keeps it in the same row."""
-    terms = dict(poly.terms)
+    terms = dict(poly.tuple_terms())
     e = min(e for e in terms if e[0])
     r = len(poly.variables) // (n + 1)
     moved = (e[0] - 1,) + e[1:r - 1] + (e[r - 1] + 1,) + e[r:]
@@ -303,7 +308,7 @@ def _slide(poly, p, n):
     return terms
 
 
-@pytest.mark.parametrize("mutate", [_bump, _drop, _wide, _aliased, _slide])
+@pytest.mark.parametrize("mutate", [_bump, _drop, _wide, _aliased, _aliased_in_slots, _slide])
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("kind", [SUM, PRODUCT])
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
@@ -342,21 +347,22 @@ def test_row_fields_round_trip(case):
     # row i holds the terms X0^(s - j) * Y0^j, s = 20i + 11, with coefficient
     # rows[i][j]: X0's slot holds s, and Y0's exponent j picks the field
     width, rows = case
-    terms = {(20 * i + 11 - j, j): c for i, cs in enumerate(rows) for j, c in enumerate(cs) if c}
-    layout = witt._Rows(_slots(2, 80), 2, width)
-    packed = layout.encode(terms)
+    poly = MultiPoly(ZZ, ("X0", "Y0"), {(20 * i + 11 - j, j): c for i, cs in enumerate(rows)
+                                        for j, c in enumerate(cs) if c})
+    layout = witt._Rows(2, poly.width, 2, width)
+    packed = layout.encode(poly.terms)
     assert len(packed) == sum(any(cs) for cs in rows)
-    assert layout.terms(packed) == len(terms)
-    assert layout.divide(packed, 1) == terms
+    assert layout.terms(packed) == len(poly.terms)
+    assert layout.divide(packed, 1) == poly.terms
 
 
 def test_twisted_polys():
     tw = twisted_digit_polys(2, 1, 2, SUM)
     # s1 = S1 with X1 -> X1^2, Y1 -> Y1^2 (level-1 variables squared)
-    assert tw[1].terms == {(1, 1, 0, 0): -1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1}
+    assert tw[1].tuple_terms() == {(1, 1, 0, 0): -1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1}
     # total homogeneity of degree p^n
     for nn, poly in enumerate(twisted_digit_polys(3, 2, 2, SUM)):
-        assert {sum(e) for e in poly.terms} == {3 ** nn}
+        assert {sum(e) for e in poly.tuple_terms()} == {3 ** nn}
 
 
 def test_bad_inputs():
