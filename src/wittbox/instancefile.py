@@ -31,7 +31,7 @@ from .box import box_make, box_variable_names, teichmuller_box
 from .counting import ProblemInstance, make_instance, system_variable_names
 from .errors import BudgetError, ParseError, decimal
 from .fqfield import field_params, fq
-from .poly import FieldDomain, MultiPoly, ZZ, _codec, _merge, _raw, _terms_in, _unit
+from .poly import FieldDomain, MultiPoly, ZZ, _merge, _occurring, _raw, _terms_in, _unit
 
 # A `^` or `*` whose result could exceed this many terms is refused before it
 # is expanded, so a short line cannot make parsing run for minutes.  Squaring
@@ -78,10 +78,9 @@ class _ExprParser:
     """Recursive-descent parser of expressions into MultiPolys over one domain
     and one tuple of variables; `t` is the field generator over F_q.
 
-    An expression is computed in the variables that occur in it and widened
-    to all the declared ones once, at the end: a product packs every variable
-    of its polynomials, at a cost quadratic in their number, and a box
-    declares up to nm = 2^20 digit variables.
+    Every atom, constant and sum is built in the declared variables.  A box
+    declares up to nm = 2^20 digit variables, so a key is up to nm bytes
+    long, and a product costs one key addition per pair of terms.
     """
 
     def __init__(self, domain, variables):
@@ -110,24 +109,13 @@ class _ExprParser:
 
     def parse(self, text, line=None) -> MultiPoly:
         self.tokens, self.i, self.line = _tokenize(text, line), 0, line
-        used = sorted({self.index[val] for _, val in self.tokens if val in self.index})
-        self.local = tuple(self.variables[k] for k in used)
-        self.local_index = dict(zip(self.local, range(len(used))))
         try:
             poly = self._expr()
         except RecursionError:
             raise ParseError("expression nested too deeply", line) from None
         if self.i != len(self.tokens):
             self._fail(f"trailing tokens starting at {self._peek()[1]!r}")
-        terms = poly.terms
-        if len(used) < len(self.variables):
-            pack, full = _codec(len(self.variables), poly.width)[0], [0] * len(self.variables)
-            terms = {}
-            for exps, c in poly.tuple_terms().items():
-                for k, x in zip(used, exps):
-                    full[k] = x
-                terms[pack(full)] = c
-        return _raw(self.domain, self.variables, terms, poly.width)
+        return poly
 
     def _expr(self):
         """A sum or difference of terms, added up in one dict."""
@@ -137,12 +125,12 @@ class _ExprParser:
             sign = self._next()[1]
             rhs = self._term()
             if rhs.width > width:  # the sum so far moves to the wider slots
-                terms = _terms_in(_raw(self.domain, self.local, terms, width), rhs.width)
+                terms = _terms_in(_raw(self.domain, self.variables, terms, width), rhs.width)
                 width = rhs.width
             rhs = _terms_in(rhs, width).items()
             _merge(terms, rhs if sign == "+" else ((e, -c) for e, c in rhs), self.domain.zero)
             self._refuse("adding with `+` or `-`", len(terms), math.inf)
-        return _raw(self.domain, self.local, terms, width)
+        return _raw(self.domain, self.variables, terms, width)
 
     def _term(self):
         poly = self._factor()
@@ -172,14 +160,14 @@ class _ExprParser:
     def _atom(self):
         kind, val = self._next()
         if kind == "int":
-            return MultiPoly.constant(self.domain, self.local, _int(self.line, val))
+            return MultiPoly.constant(self.domain, self.variables, _int(self.line, val))
         if kind in ("boxvar", "name"):
-            if val in self.local_index:
-                return _unit(self.domain, self.local, self.local_index[val])
+            if val in self.index:
+                return _unit(self.domain, self.variables, self.index[val])
             if val == "t":
                 if not isinstance(self.domain, FieldDomain):
                     self._fail("`t` is only meaningful in F_q expressions")
-                return MultiPoly.constant(self.domain, self.local, fq(self.domain.params, [0, 1]))
+                return MultiPoly.constant(self.domain, self.variables, fq(self.domain.params, [0, 1]))
             self._fail(f"unknown variable {val!r}")
         if kind == "op" and val == "(":
             poly = self._expr()
@@ -206,8 +194,7 @@ def _terms_bound(factors) -> int:
         products *= _binomial(len(f.terms) + e - 1, e) if f.terms else int(e == 0)
     if products <= MAX_POWER_TERMS:
         return products
-    v = sum(1 for column in zip(*(exps for f, _ in factors for exps in f.tuple_terms()))
-            if any(column))
+    v = _occurring([f for f, _ in factors])
     return min(_binomial(v + sum(f.total_degree() * e for f, e in factors), v), products)
 
 

@@ -12,7 +12,7 @@ the declared variable order, and golden tests pin it.
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, lshift, methodcaller, or_
 
 from .errors import ConfigError, ValidationError
@@ -179,7 +179,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Max total degree over terms; the zero polynomial has degree 0."""
-        return max(map(sum, self.tuple_terms()), default=0)
+        return max(map(sum, map(_codec(len(self.variables), self.width)[1], self.terms)), default=0)
 
     def weighted_degrees(self, weights):
         """Set of per-term weighted degrees under the given variable weights."""
@@ -219,7 +219,8 @@ class MultiPoly:
     def is_reduced(self) -> bool:
         if not isinstance(self.domain, FieldDomain):
             raise ConfigError("reducedness is defined over F_q only")
-        return max(chain.from_iterable(self.tuple_terms()), default=0) < self.domain.params.q
+        unpack = _codec(len(self.variables), self.width)[1]
+        return max(chain.from_iterable(map(unpack, self.terms)), default=0) < self.domain.params.q
 
     # -- evaluation ---------------------------------------------------------
 
@@ -316,6 +317,12 @@ def _codec(arity: int, width: int):
 def _bound(f) -> int:
     """The largest slot of the OR of f's keys: at least f's top exponent, under twice it."""
     return max(_codec(len(f.variables), f.width)[1](reduce(or_, f.terms, 0)), default=0)
+
+
+def _occurring(polys) -> int:
+    """How many variables occur in some of `polys`: the nonzero slots of the ORs of their keys."""
+    return len(set().union(*(compress(count(), _codec(len(f.variables), f.width)[1](
+        reduce(or_, f.terms, 0))) for f in polys)))
 
 
 def _terms_in(f, width):

@@ -309,6 +309,7 @@ _EXTENSION = _ONE_COLUMN.replace("p = 2\n", "p = 2\nh = {h}\nmodulus = t^{h} + t
 _DEEP_REFUSED = "error.message=line 7: a modulus exponent above 262144 is refused\n"
 _LONG_POINTS = (EXIT_BUDGET, "error.message=2^1000000 points exceed the enumeration budget")
 _LONG_PRODUCT = (EXIT_BUDGET, f"error.message=line 5: n*m = {'1' * 4000}*{'2' * 4000} digit variables")
+_WIDE_SUM = " + ".join(f"x[{i % 2}][{i // 2 + 1}]" for i in range(60))
 
 
 def _both(code, line):
@@ -408,6 +409,14 @@ HOSTILE_INPUTS = {
                "verify": (EXIT_BUDGET, f"error.message=2^{nm} points exceed")})
        for name, nm, factors, d in (("wide-product", 1 << 17, 30, 4095),
                                     ("widest-product", 1 << 20, 3, 262143))},
+    # past the term cap, the variables that occur are counted from packed
+    # keys: exponent tuples of nm = 2^17 slots for each of the 60 terms would
+    # cost about 1 s
+    **{name: (_ONE_COLUMN.replace("n = 1", f"n = {1 << 16}").replace("m = 1", "m = 2")
+              + f"f1 = x1 mod p^3\n[box]\ng[2][1] = {body.format(_WIDE_SUM)}\n",
+              _both(EXIT_BUDGET, f"error.message=line 9: {what} could produce more than 1024 terms\n"))
+       for name, body, what in (("wide-sum-product", "({0})*({0})", "multiplying with `*`"),
+                                ("wide-sum-power", "({0})^3", "expanding `^3`"))},
 }
 
 

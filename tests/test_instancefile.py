@@ -175,6 +175,21 @@ def test_product_term_bound_is_an_upper_bound_and_refuses_early():
     assert parse_poly(f"0 * ({' + '.join(f'x1^{k}' for k in range(1, 1101))})", ZZ, names).is_zero()
 
 
+def test_product_term_bound_counts_only_the_variables_that_occur():
+    import math
+
+    from wittbox.instancefile import _terms_bound
+
+    # 4 of 40 declared variables occur; the exponent tuples are the oracle
+    names = tuple(f"x{j}" for j in range(1, 41))
+    f, g = parse_poly("(x1 + x3 + x17 + 1)^9", ZZ, names), parse_poly("(x17 + x40 + 1)^9", ZZ, names)
+    columns = zip(*(exps for h in (f, g) for exps in h.tuple_terms()))
+    v = sum(1 for column in columns if any(column))
+    assert v == 4 and len(f.terms) * len(g.terms) == 220 * 55
+    assert _terms_bound([(f, 1), (g, 1)]) == math.comb(v + 18, v) == 7315
+    assert _terms_bound([(f, 2)]) == math.comb(3 + 18, 3)
+
+
 def test_oversized_problem_is_refused_before_names_are_built():
     from wittbox.errors import BudgetError
     from wittbox.instancefile import MAX_DIGIT_VARIABLES

@@ -7,11 +7,13 @@ polynomial in two slot layouts must compare, hash and render the same, and
 render's term order is checked against a sort of the exponent tuples.
 """
 
+from itertools import chain
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittbox.fqfield import field_params, fq, fq_enumerate
-from wittbox.poly import FieldDomain, MultiPoly, ZZ
+from wittbox.poly import FieldDomain, MultiPoly, ZZ, _bound
 
 F4 = field_params(2, 2)
 DOMAINS = {
@@ -119,7 +121,21 @@ def test_layouts_do_not_change_the_polynomial(pair):
         assert g == f and f == g and hash(g) == hash(f)
         assert g.render() == f.render() and g.tuple_terms() == f.tuple_terms()
         assert len(g.terms) == len(f.terms)
+        # degrees and reducedness read the packed keys; the tuples are the oracle
+        exps = f.tuple_terms()
+        assert g.total_degree() == max(map(sum, exps), default=0)
+        if g.domain != ZZ:
+            assert g.is_reduced() == (max(chain.from_iterable(exps), default=0) < F4.q)
     assert f + wide == f * 2 and (wide - f).is_zero()
+
+
+def test_reducedness_reads_exact_slots():
+    # the OR of the keys of x + x^2 has the slot 1 | 2 = 3 = q, but both exponents are below q
+    f3 = FieldDomain(field_params(3, 1))
+    x = MultiPoly.variable(f3, ("x", "y"), "x")
+    for f in (x + x ** 2, (x + x ** 2) * _wide_one(f3, x.variables)):
+        assert f.is_reduced() and f.total_degree() == 2 and _bound(f) == 3
+    assert not (x + x ** 3).is_reduced()
 
 
 def _reference_render(f):

@@ -13,7 +13,9 @@ code changed.  It covers:
 - `count` (plain, `--partitions 3`, `--budget 10`), `bound` under both
   readings, and `verify` on the bundled fixtures, on the benchmark inputs of
   seeds 1-20 at tiny and full size, and on 40 seeded instances whose core the
-  counting kernel enumerates in several rows;
+  counting kernel enumerates in several rows, and on the `SPARSE` instances,
+  whose expressions use a few of many declared variables in slots wider
+  than a byte;
 - `paper-examples` and `selftest`;
 - `witt-polys` for p in {2, 3, 5}, n <= 3 and r in {2, 3}, both kinds, except
   p = 5 with n = 3; and for the larger cases in `WITT_CASES`: sums whose
@@ -48,6 +50,18 @@ ROWS = ((2, 1, 3, 4), (2, 2, 2, 3), (3, 1, 2, 4), (3, 2, 2, 2), (5, 1, 2, 3))
 WITT_CASES = ((5, 3, 2, "sum"), (7, 2, 3, "sum"), (13, 2, 2, "sum"), (3, 2, 8, "sum"),
               (2, 3, 8, "sum"), (3, 1, 40, "sum"), (2, 3, 3, "product"), (3, 3, 3, "product"))
 
+# (label, [ring] and [problem] lines, [system] and [box] lines) of the sparse instances
+SPARSE = (
+    ("sparse/system", "p = 2\n[problem]\nn = 40\nm = 1\n",
+     "f1 = x3^200*x17 + x40^130 + 1 mod p^2\nf2 = (x3^200 + x17)*(x3^100 + x40^300) - x5 mod p^3\n"),
+    ("sparse/f256", "p = 2\nh = 8\nmodulus = t^8+t^4+t^3+t+1\n[problem]\nn = 8\nm = 2\n",
+     "f1 = x2^3 + x7 mod p^3\n[box]\ng[2][2] = t*x[0][2]^200 + x[1][7]\n"
+     "g[3][1] = (x[0][2]^200 + x[1][1])*(x[0][2]^100 + t) - x[0][2]^300 - x[0][2]^100*x[1][1]\n"),
+    ("sparse/f3", "p = 3\n[problem]\nn = 20\nm = 1\n",
+     "f1 = x3^2 + x17 mod p^2\n[box]\ng[1][5] = x[0][3] + x[0][3]^2 + x[0][17]^2*x[0][3]\n"
+     "g[2][20] = (x[0][3]^150 + x[0][9])*(x[0][3]^150 - x[0][9]) - x[0][3]^300 + x[0][20]^2\n"),
+)
+
 
 def rows_text(rng, p, h, n, m):
     """Two polynomials whose cross terms link every pair and triple of
@@ -79,6 +93,8 @@ def instances():
     for p, h, n, m in ROWS:
         for seed in range(8):
             yield f"rows/{p}-{h}/{seed}", rows_text(random.Random(f"rows-{p}-{h}-{seed}"), p, h, n, m)
+    for label, head, body in SPARSE:
+        yield label, f"[ring]\n{head}[system]\n{body}"
 
 
 def runs(workdir):
