@@ -20,7 +20,7 @@ from .poly import FieldDomain, MultiPoly
 TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def box_variable_names(n: int, m: int):
     """Free digit variables, i-major then j, matching the file syntax."""
     return tuple(f"x[{i}][{j}]" for i in range(m) for j in range(1, n + 1))

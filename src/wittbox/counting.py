@@ -31,7 +31,7 @@ MAX_FIELD = 1 << 20  # largest q counted: the kernel lifts and tabulates each el
 ROW = 1 << 10
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def system_variable_names(n: int):
     return tuple(f"x{j}" for j in range(1, n + 1))
 

@@ -31,7 +31,7 @@ from .box import box_make, box_variable_names, teichmuller_box
 from .counting import ProblemInstance, make_instance, system_variable_names
 from .errors import BudgetError, ParseError, decimal
 from .fqfield import field_params, fq
-from .poly import FieldDomain, MultiPoly, ZZ, _merge, _occurring, _raw, _terms_in, _unit
+from .poly import FieldDomain, MultiPoly, ZZ, _embed, _merge, _occurring, _raw, _terms_in, _unit
 
 # A `^` or `*` whose result could exceed this many terms is refused before it
 # is expanded, so a short line cannot make parsing run for minutes.  Squaring
@@ -78,9 +78,10 @@ class _ExprParser:
     """Recursive-descent parser of expressions into MultiPolys over one domain
     and one tuple of variables; `t` is the field generator over F_q.
 
-    Every atom, constant and sum is built in the declared variables.  A box
-    declares up to nm = 2^20 digit variables, so a key is up to nm bytes
-    long, and a product costs one key addition per pair of terms.
+    An expression is computed in the variables that occur in it and moved
+    to all the declared ones once, at the end: a product adds a key per pair
+    of terms, at a cost that grows with the key's length, and a box declares
+    up to nm = 2^20 digit variables, one slot of bytes each.
     """
 
     def __init__(self, domain, variables):
@@ -109,13 +110,16 @@ class _ExprParser:
 
     def parse(self, text, line=None) -> MultiPoly:
         self.tokens, self.i, self.line = _tokenize(text, line), 0, line
+        used = sorted({self.index[val] for _, val in self.tokens if val in self.index})
+        self.local = tuple(self.variables[k] for k in used)
+        self.local_index = dict(zip(self.local, range(len(used))))
         try:
             poly = self._expr()
         except RecursionError:
             raise ParseError("expression nested too deeply", line) from None
         if self.i != len(self.tokens):
             self._fail(f"trailing tokens starting at {self._peek()[1]!r}")
-        return poly
+        return _embed(poly, self.variables, used)
 
     def _expr(self):
         """A sum or difference of terms, added up in one dict."""
@@ -125,12 +129,12 @@ class _ExprParser:
             sign = self._next()[1]
             rhs = self._term()
             if rhs.width > width:  # the sum so far moves to the wider slots
-                terms = _terms_in(_raw(self.domain, self.variables, terms, width), rhs.width)
+                terms = _terms_in(_raw(self.domain, self.local, terms, width), rhs.width)
                 width = rhs.width
             rhs = _terms_in(rhs, width).items()
             _merge(terms, rhs if sign == "+" else ((e, -c) for e, c in rhs), self.domain.zero)
             self._refuse("adding with `+` or `-`", len(terms), math.inf)
-        return _raw(self.domain, self.variables, terms, width)
+        return _raw(self.domain, self.local, terms, width)
 
     def _term(self):
         poly = self._factor()
@@ -160,14 +164,14 @@ class _ExprParser:
     def _atom(self):
         kind, val = self._next()
         if kind == "int":
-            return MultiPoly.constant(self.domain, self.variables, _int(self.line, val))
+            return MultiPoly.constant(self.domain, self.local, _int(self.line, val))
         if kind in ("boxvar", "name"):
-            if val in self.index:
-                return _unit(self.domain, self.variables, self.index[val])
+            if val in self.local_index:
+                return _unit(self.domain, self.local, self.local_index[val])
             if val == "t":
                 if not isinstance(self.domain, FieldDomain):
                     self._fail("`t` is only meaningful in F_q expressions")
-                return MultiPoly.constant(self.domain, self.variables, fq(self.domain.params, [0, 1]))
+                return MultiPoly.constant(self.domain, self.local, fq(self.domain.params, [0, 1]))
             self._fail(f"unknown variable {val!r}")
         if kind == "op" and val == "(":
             poly = self._expr()

@@ -11,8 +11,10 @@ the declared variable order, and golden tests pin it.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import add, lshift, methodcaller, or_
 
 from .errors import ConfigError, ValidationError
@@ -288,7 +290,11 @@ def _power_text(name, e):
 # -- layouts ------------------------------------------------------------------
 #
 # Slots are whole bytes, so a key converts to and from its exponents with
-# C-level `int.to_bytes`/`int.from_bytes`.
+# C-level `int.to_bytes`/`int.from_bytes`; slots of 2 to 8 bytes are read as
+# an `array` of machine words, each slot padded to a word by strided copies.
+
+_WORDS = {array(code).itemsize: code for code in "QLIHB"}  # bytes -> typecode
+
 
 def _width(top: int, width: int = 0) -> int:
     """`width` if exponents up to `top` fit in it, else the least multiple of 8
@@ -296,41 +302,91 @@ def _width(top: int, width: int = 0) -> int:
     return width if width and top >> width == 0 else (top.bit_length() // 8 + 1) * 8
 
 
+def _reslot(raw, old: int, new: int):
+    """The big-endian slots of `raw`, `old` bytes each, copied to slots of
+    `new` bytes, which must hold their values."""
+    if old == new:
+        return raw
+    out = bytearray(len(raw) // old * new)
+    for b in range(1, min(old, new) + 1):
+        out[new - b::new] = raw[old - b::old]
+    return out
+
+
 @lru_cache(maxsize=64)
 def _codec(arity: int, width: int):
     """(pack, unpack, guard) of this layout: pack takes any sequence of
     exponents to its key, unpack gives a key's exponents as bytes for
-    one-byte slots, else as a tuple, and guard has the top bit of each slot."""
+    one-byte slots, as an array up to 8 bytes, else as a tuple, and guard has
+    the top bit of each slot."""
     size = width // 8
     guard = int.from_bytes((b"\x80" + bytes(size - 1)) * arity, "big")
     if size == 1:
         return (lambda exps: int.from_bytes(bytes(exps), "big"),
                 methodcaller("to_bytes", arity, "big"), guard)
+    if size > 8:
+        def unpack(key):
+            raw = key.to_bytes(arity * size, "big")
+            return tuple(int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size))
+        return (lambda exps: int.from_bytes(b"".join(e.to_bytes(size, "big") for e in exps), "big"),
+                unpack, guard)
+    word = 1 << (size - 1).bit_length()
+    code, swap = _WORDS[word], sys.byteorder == "little"
 
     def unpack(key):
-        raw = key.to_bytes(arity * size, "big")
-        return tuple(int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size))
-    return (lambda exps: int.from_bytes(b"".join(e.to_bytes(size, "big") for e in exps), "big"),
-            unpack, guard)
+        words = array(code, _reslot(key.to_bytes(arity * size, "big"), size, word))
+        if swap:
+            words.byteswap()
+        return words
+
+    def pack(exps):
+        words = array(code, iter(exps))
+        if swap:
+            words.byteswap()
+        return int.from_bytes(_reslot(words.tobytes(), word, size), "big")
+    return pack, unpack, guard
+
+
+def _or_slots(f):
+    """The slots of the OR of f's keys: each at least the top exponent of its
+    variable in f, under twice it, and nonzero where the variable occurs."""
+    return _codec(len(f.variables), f.width)[1](reduce(or_, f.terms, 0))
 
 
 def _bound(f) -> int:
     """The largest slot of the OR of f's keys: at least f's top exponent, under twice it."""
-    return max(_codec(len(f.variables), f.width)[1](reduce(or_, f.terms, 0)), default=0)
+    return max(_or_slots(f), default=0)
 
 
 def _occurring(polys) -> int:
-    """How many variables occur in some of `polys`: the nonzero slots of the ORs of their keys."""
-    return len(set().union(*(compress(count(), _codec(len(f.variables), f.width)[1](
-        reduce(or_, f.terms, 0))) for f in polys)))
+    """How many variables occur in some of `polys`, which share one context."""
+    return len(set().union(*(compress(count(), _or_slots(f)) for f in polys)))
 
 
 def _terms_in(f, width):
     """f's terms keyed in slots `width` bits wide, which must hold its exponents."""
     if f.width == width:
         return f.terms
-    pack, unpack = _codec(len(f.variables), width)[0], _codec(len(f.variables), f.width)[1]
-    return {pack(unpack(key)): c for key, c in f.terms.items()}
+    old, length = f.width // 8, len(f.variables) * f.width // 8
+    return {int.from_bytes(_reslot(key.to_bytes(length, "big"), old, width // 8), "big"): c
+            for key, c in f.terms.items()}
+
+
+def _embed(f, variables, positions):
+    """f, whose variables are those at the ascending `positions` of
+    `variables`, as a polynomial in all of `variables`: each run of adjacent
+    positions is one byte copy per term."""
+    size, moves = f.width // 8, []
+    for _, run in groupby(enumerate(positions), lambda pair: pair[1] - pair[0]):
+        (k, at), span = next(run), (1 + sum(1 for _ in run)) * size
+        moves.append((slice(at * size, at * size + span), slice(k * size, k * size + span)))
+    terms = {}
+    for key, c in f.terms.items():
+        raw, full = key.to_bytes(len(positions) * size, "big"), bytearray(len(variables) * size)
+        for to, of in moves:
+            full[to] = raw[of]
+        terms[int.from_bytes(full, "big")] = c
+    return _raw(f.domain, variables, terms, f.width)
 
 
 def _raw(domain, variables, terms, width):

@@ -310,6 +310,8 @@ _DEEP_REFUSED = "error.message=line 7: a modulus exponent above 262144 is refuse
 _LONG_POINTS = (EXIT_BUDGET, "error.message=2^1000000 points exceed the enumeration budget")
 _LONG_PRODUCT = (EXIT_BUDGET, f"error.message=line 5: n*m = {'1' * 4000}*{'2' * 4000} digit variables")
 _WIDE_SUM = " + ".join(f"x[{i % 2}][{i // 2 + 1}]" for i in range(60))
+_WIDE_SLOTS = (_ONE_COLUMN.replace("n = 1", f"n = {1 << 16}").replace("m = 1", "m = 2")
+               + "f1 = x1 mod p^3\n[box]\ng[2][1] = {}\n")
 
 
 def _both(code, line):
@@ -409,14 +411,32 @@ HOSTILE_INPUTS = {
                "verify": (EXIT_BUDGET, f"error.message=2^{nm} points exceed")})
        for name, nm, factors, d in (("wide-product", 1 << 17, 30, 4095),
                                     ("widest-product", 1 << 20, 3, 262143))},
-    # past the term cap, the variables that occur are counted from packed
-    # keys: exponent tuples of nm = 2^17 slots for each of the 60 terms would
-    # cost about 1 s
-    **{name: (_ONE_COLUMN.replace("n = 1", f"n = {1 << 16}").replace("m = 1", "m = 2")
-              + f"f1 = x1 mod p^3\n[box]\ng[2][1] = {body.format(_WIDE_SUM)}\n",
+    # past the term cap, the variables that occur are counted: in all
+    # nm = 2^17 variables, exponent tuples for each of the 60 terms would cost
+    # about 1 s
+    **{name: (_WIDE_SLOTS.format(body.format(_WIDE_SUM)),
               _both(EXIT_BUDGET, f"error.message=line 9: {what} could produce more than 1024 terms\n"))
        for name, body, what in (("wide-sum-product", "({0})*({0})", "multiplying with `*`"),
                                 ("wide-sum-power", "({0})^3", "expanding `^3`"))},
+    # the same in 16-bit slots, which were read one Python int at a time
+    "wide-slot-product": (_WIDE_SLOTS.format(f"(x[0][1]^200 + {_WIDE_SUM})*(x[0][1]^200 + {_WIDE_SUM})"),
+                          _both(EXIT_BUDGET, "error.message=line 9: multiplying with `*` could "
+                                "produce more than 1024 terms\n")),
+    # the sum moves to 2-, 3-, 4- and 5-byte slots, and the box refuses it
+    "widening-sum": (_WIDE_SLOTS.format(f"{_WIDE_SUM} + x[0][1]^256 + x[0][2]^65536 "
+                                        "+ x[0][3]^16777216 + x[0][4]^4294967296"),
+                     _both(EXIT_VALIDATION, "error.message=generator g[2][1] is not reduced")),
+    # accepted `^` and `*` of many-term polynomials near the slot cap: slots
+    # wider than a byte were read one Python int at a time, and the first
+    # took 20 s
+    "wide-system-power": (_ONE_COLUMN.replace("n = 1", "n = 16384") + "f1 = (x1 + 1)^1000 mod p^2\n",
+                          {"bound": (EXIT_OK, "bound.improved=7\n")}),
+    **{name: (_ONE_COLUMN.replace("p = 2", f"p = {p}").replace("n = 1", "n = 8192").replace("m = 1", "m = 2")
+              + f"f1 = x1 mod p^3\n[box]\ng[2][1] = {body}\n", {"bound": (EXIT_OK, line)})
+       for name, p, body, line in (
+           ("wide-box-power", 101, "(x[0][1] + x[1][2] + 1)^40", "bound.improved=1\n"),
+           ("wide-box-product", 2, "*".join(f"(x[0][{j}] + x[1][{j}])" for j in range(1, 11)),
+            "bound.improved=1364\n"))},
 }
 
 

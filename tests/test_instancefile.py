@@ -3,7 +3,7 @@ import pytest
 from wittbox.errors import ParseError, ValidationError
 from wittbox.fqfield import field_params, fq
 from wittbox.instancefile import parse_instance, parse_poly
-from wittbox.poly import FieldDomain, ZZ
+from wittbox.poly import FieldDomain, MultiPoly, ZZ
 
 MINIMAL = """\
 [ring]
@@ -188,6 +188,16 @@ def test_product_term_bound_counts_only_the_variables_that_occur():
     assert v == 4 and len(f.terms) * len(g.terms) == 220 * 55
     assert _terms_bound([(f, 1), (g, 1)]) == math.comb(v + 18, v) == 7315
     assert _terms_bound([(f, 2)]) == math.comb(3 + 18, 3)
+
+
+def test_sparse_expressions_match_the_full_context():
+    # parsed in the 3 variables that occur and moved to all 40 at the end;
+    # the same sums and products built in all 40 variables are the oracle
+    names = tuple(f"x{j}" for j in range(1, 41))
+    x3, x17, x40 = (MultiPoly.variable(ZZ, names, v) for v in ("x3", "x17", "x40"))
+    f = parse_poly("(x3^200 + x17)*(x3^100 - x40^70000) + 2", ZZ, names)
+    assert f.variables == names and f.width == 24
+    assert f == (x3 ** 200 + x17) * (x3 ** 100 - x40 ** 70000) + 2
 
 
 def test_oversized_problem_is_refused_before_names_are_built():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittbox.fqfield import field_params, fq, fq_enumerate
-from wittbox.poly import FieldDomain, MultiPoly, ZZ, _bound
+from wittbox.poly import FieldDomain, MultiPoly, ZZ, _bound, _codec, _embed, _raw, _terms_in
 
 F4 = field_params(2, 2)
 DOMAINS = {
@@ -22,7 +22,8 @@ DOMAINS = {
 }
 HUGE = 2 ** 65  # exponent slots wider than a machine word
 EXPONENTS = st.one_of(st.integers(0, 3),
-                      st.sampled_from([HUGE - 1, HUGE, 2 ** 64 + 1, 2 ** 40, 2 ** 39 + 1, 200]))
+                      st.sampled_from([HUGE - 1, HUGE, 2 ** 64 + 1, 2 ** 50, 2 ** 40, 2 ** 39 + 1,
+                                       2 ** 32, 2 ** 16 + 1, 200]))
 
 
 def naive_mul(f, g):
@@ -136,6 +137,38 @@ def test_reducedness_reads_exact_slots():
     for f in (x + x ** 2, (x + x ** 2) * _wide_one(f3, x.variables)):
         assert f.is_reduced() and f.total_degree() == 2 and _bound(f) == 3
     assert not (x + x ** 3).is_reduced()
+
+
+def test_every_slot_size_packs_as_big_endian_bytes():
+    # 1 to 10 bytes: one byte, machine words padded to 2, 4 or 8 bytes, and
+    # wider than a word; the joined big-endian bytes are the oracle
+    for size in range(1, 11):
+        top = (1 << 8 * size - 1) - 1
+        pack, unpack = _codec(3, 8 * size)[:2]
+        for exps in ((0, 1, top), (top, 0, 0), (5, top >> 3, 1)):
+            key = int.from_bytes(b"".join(e.to_bytes(size, "big") for e in exps), "big")
+            assert pack(exps) == pack(list(exps)) == key and tuple(unpack(key)) == exps
+            for wider in range(size, 11):
+                moved = _terms_in(_raw(ZZ, ("x", "y", "z"), {key: 1}, 8 * size), 8 * wider)
+                assert moved == {_codec(3, 8 * wider)[0](exps): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs())
+def test_embedding_puts_each_variable_in_its_slot(pair):
+    # f in (x, y, z) moved to the positions 1, 4, 5 of seven variables; the
+    # tuples with zeros put in between are the oracle
+    f, _ = pair
+    names = ("a", "x", "b", "c", "y", "z", "d")
+    positions = [names.index(v) for v in f.variables]
+    g = _embed(_raw(f.domain, f.variables, f.terms, f.width), names, positions)
+    spread = {}
+    for exps, c in f.tuple_terms().items():
+        full = [0] * len(names)
+        for k, e in zip(positions, exps):
+            full[k] = e
+        spread[tuple(full)] = c
+    assert g.variables == names and g.width == f.width and g == MultiPoly(f.domain, names, spread)
 
 
 def _reference_render(f):

@@ -60,6 +60,8 @@ SPARSE = (
     ("sparse/f3", "p = 3\n[problem]\nn = 20\nm = 1\n",
      "f1 = x3^2 + x17 mod p^2\n[box]\ng[1][5] = x[0][3] + x[0][3]^2 + x[0][17]^2*x[0][3]\n"
      "g[2][20] = (x[0][3]^150 + x[0][9])*(x[0][3]^150 - x[0][9]) - x[0][3]^300 + x[0][20]^2\n"),
+    ("sparse/widening", "p = 3\n[problem]\nn = 40\nm = 1\n",
+     "f1 = (x3 + x17^70000)*(x3^300 + x40) + x40^4294967296 mod p^2\nf2 = (x5 + 2*x9 + 1)^30 mod p^3\n"),
 )
 
 
