@@ -108,9 +108,9 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
     params = GRParams(spec.field, mk)
     need = 1
     work = 0
-    for exps, coeff in f.tuple_terms().items():
+    for exps, coeff in f.sparse_terms():
         live = [i for i, a in enumerate(to_digits(int_to_gr(coeff, params))) if not a.is_zero()]
-        total = sum(exps)
+        total = sum(e for _, e in exps)
         for i in live:
             work += math.comb(mk - i + total - 1, total)
             if work > D_BUDGET:
@@ -119,9 +119,8 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
             continue
         width = mk - live[0]  # totals t < width are the only ones any live i reaches
         top = [0] + [None] * (width - 1)
-        for l, e in enumerate(exps, start=1):
-            if e:
-                top = _maxplus(top, power(_profile(spec, l, width), e, _maxplus))
+        for l, e in exps:
+            top = _maxplus(top, power(_profile(spec, l + 1, width), e, _maxplus))
         for i in live:
             for t in range(mk - i):
                 if top[t] is not None:

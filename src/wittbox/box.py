@@ -9,15 +9,19 @@ zero.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, partial
+from itertools import accumulate, chain, compress, count, repeat
+from operator import attrgetter, is_, itemgetter, mul
 
 from .errors import BudgetError, ValidationError
-from .fqfield import FieldParams, GRElem, fq_enumerate, from_index, polymul_mod
+from .fqfield import FieldParams, GRElem, _prime_factors, fq_enumerate, from_index, polymul_mod, power
 from .poly import FieldDomain, MultiPoly
 
 TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
+_NATIVE = sys.byteorder  # of the machine words in `array('Q')`
 
 
 @lru_cache(maxsize=1)
@@ -138,105 +142,113 @@ def box_from_table(field: FieldParams, n: int, m: int, precision: int, table) ->
     """Recover the unique reduced generators from a full enumeration table.
 
     `table` is an iterable of (base, digits) pairs shaped like BoxPoint
-    contents, one per element of F_q^{nm}.  The values of each generator form
-    an array over F_q^{nm}, which a separable transform turns into the
-    coefficients of its reduced interpolant, one variable axis at a time:
-    along an axis with values v(a), a in F_q, the interpolant
-    sum_a v(a) * (1 - (x - a)^(q-1)) has c_0 = v(0) and
-    c_k = -sum_a v(a) * a^(q-1-k) for 1 <= k <= q-1, with 0^0 = 1.  For
-    q = 2 this is the binary Moebius transform.  The cost is O(nm q^{nm+1})
-    field operations in O(q^{nm}) memory plus O(q) scratch.
+    contents, one per element of F_q^{nm}.  Each row is checked and filed at
+    its base's index; each generator's values, in index order, are
+    interpolated as machine words (`_transform`).  Python runs once per row
+    and once per term, not once per table entry.  Memory is O(q^{nm}) words.
     """
     q = field.q
     nm = n * m
     expected = q ** nm
     if expected > TABLE_BUDGET:
         raise BudgetError(f"table of {expected} rows exceeds the budget {TABLE_BUDGET}")
-    names = box_variable_names(n, m)
     dom = FieldDomain(field)
-    rows = []
-    seen = set()
-    for base, digits in table:
-        base = tuple(base)
-        if len(base) != nm:
-            raise ValidationError("base point has wrong arity")
-        key = tuple(a.to_index() for a in base)
-        if key in seen:
+    rows = [(tuple(base), tuple(map(tuple, digits))) for base, digits in table]
+    if any(len(base) != nm for base, _ in rows):
+        raise ValidationError("base point has wrong arity")
+    by_index = [None] * expected  # the digits of each row, at the index of its base
+    for index, (base, digits) in zip(_base_indices(dom, [base for base, _ in rows], nm), rows):
+        if by_index[index] is not None:
             raise ValidationError("duplicate base point in table")
-        seen.add(key)
-        digits = tuple(tuple(col) for col in digits)
+        by_index[index] = digits
         if len(digits) != n or any(len(col) != precision for col in digits):
             raise ValidationError("digit table has wrong shape")
-        for j in range(1, n + 1):
-            for i in range(m):
-                if digits[j - 1][i] != base[i * n + (j - 1)]:
-                    raise ValidationError("table digits below m disagree with the base point")
-        index = 0  # the big-endian base-q index of decode_base
-        for code in key:
-            index = index * q + code
-        rows.append((index, digits))
+        if any(col[:m] != base[j::n] for j, col in enumerate(digits)):
+            raise ValidationError("table digits below m disagree with the base point")
     if len(rows) != expected:
         raise ValidationError(f"table must have exactly {expected} rows, got {len(rows)}")
 
+    names = box_variable_names(n, m)
+    interpolate = _transform(field, nm)
+    place = [q ** e for e in reversed(range(nm))]  # of each exponent digit in an index
     generators = {}
     for i in range(m, precision):
-        for j in range(1, n + 1):
-            values = [None] * expected
-            for index, digits in rows:
-                values[index] = dom.coerce(digits[j - 1][i]).coeffs
-            coords = _interpolate(field, [list(c) for c in zip(*values)], nm)
+        for j in range(n):
+            coords = interpolate(_coordinates(dom, [digits[j][i] for digits in by_index]))
             terms = {}
-            for index, coeffs in enumerate(zip(*coords)):
-                if any(coeffs):
-                    exps = []
-                    for _ in range(nm):
-                        index, e = divmod(index, q)
-                        exps.append(e)
-                    terms[tuple(reversed(exps))] = GRElem(field.ring, coeffs)
-            generators[(i, j)] = MultiPoly(dom, names, terms)
+            for at in compress(count(), map(any, zip(*coords))):
+                exps = tuple(at // w % q for w in place)
+                terms[exps] = GRElem(field.ring, tuple(coord[at] for coord in coords))
+            generators[(i, j + 1)] = MultiPoly(dom, names, terms)
     return box_make(field, n, m, generators)
 
 
-def _interpolate(field: FieldParams, coords, nm: int):
-    """Reduced-interpolant coefficients from values on F_q^{nm}.
+def _coordinates(dom: FieldDomain, elements):
+    """The h coordinate arrays ('Q') over F_p of a list of F_q elements; a
+    list with other objects goes through `coerce`, which refuses them."""
+    ring = dom.params.ring
+    rings = map(getattr, elements, repeat("params"), repeat(None))  # None for a non-element
+    if not all(map(is_, rings, repeat(ring))):
+        elements = [dom.coerce(a) for a in elements]
+    coeffs = list(map(attrgetter("coeffs"), elements))
+    return [array("Q", map(itemgetter(r), coeffs)) for r in range(ring.h)]
 
-    `coords` holds the h coordinate arrays over F_p of the values, indexed
-    big-endian by the nm variable digits; the result is indexed the same way
-    by exponent digits.  Each pass transforms the last axis and moves it to
-    the front, so after nm passes every axis is done and back in place.
-    Multiplying by a fixed w in F_q is an F_p-linear map on the coordinates,
-    so every pass is F_p-linear combinations of whole slices.
+
+def _base_indices(dom: FieldDomain, bases, nm: int):
+    """The big-endian base-q index of each base point, as in `decode_base`:
+    coordinate r of variable v in every row is read as one integer of 64-bit
+    fields, and these times p^r * q^(nm-1-v) sum to each row's index."""
+    p, q = dom.params.p, dom.params.q
+    total = 0
+    for r, coord in enumerate(_coordinates(dom, list(chain.from_iterable(bases)))):
+        for v in range(nm):
+            total += p ** r * q ** (nm - 1 - v) * int.from_bytes(coord[v::nm], _NATIVE)
+    return array("Q", total.to_bytes(8 * len(bases), _NATIVE))
+
+
+def _transform(field: FieldParams, nm: int):
+    """The reduced-interpolant transform on h coordinate arrays ('Q') over F_p
+    of values on F_q^{nm}, indexed big-endian by variable (then exponent) digits.
+
+    Along an axis, sum_a v(a) (1 - (x - a)^(q-1)) has c_0 = v(0) and
+    c_k = -sum_a v(a) a^(q-1-k) for k >= 1, with 0^0 = 1.  For a = g^l, g
+    primitive, coordinate r of -a^j t^s is the weight neg[r][s][l*j mod q-1]
+    in [0, p).  A pass reads each plane arr[a::q] of the last axis as one
+    integer of 64-bit fields (each below q h p^2 <= q^3 < 2^64 under
+    TABLE_BUDGET) and sums plane * weight per block; blocks reduced mod p and
+    joined in k order put the axis in front, so nm passes do every axis.
     """
-    p, q, h, modulus = field.p, field.q, field.h, field.modulus
-    elements = [a.coeffs for a in fq_enumerate(field)]
-    basis = [tuple(int(r == s) for r in range(h)) for s in range(h)]
+    p, q, h, order = field.p, field.q, field.h, field.q - 1
+    times = partial(polymul_mod, field.modulus, p)
+    code = {a.coeffs: c for c, a in enumerate(fq_enumerate(field))}
+    one = (1,) + (0,) * (h - 1)
+    g = next(a for a in code if any(a) and all(
+        power(a, order // f, times) != one for f in _prime_factors(order)))
+    powers = list(accumulate(repeat(g, order - 1), times, initial=one))  # g^l, 0 <= l < q-1
+    planes = [code[a] for a in powers]  # plane l holds the values at g^l
+    basis = [tuple(int(r == s) for r in range(h)) for s in range(h)]  # t^s
+    neg = [[[-times(a, t)[r] % p for a in powers] for t in basis] for r in range(h)]  # -g^e t^s
+    words = q ** (nm - 1)  # in one plane
+    lsb = int.from_bytes(array("Q", [1] * words), _NATIVE)
 
-    def negated_sum(weights, planes):
-        """-sum_a weights[a] * planes[a], one list per coordinate.
+    def reduced(total):  # a block's fields mod p, as bytes
+        if p == 2:
+            return (total & lsb).to_bytes(8 * words, _NATIVE)
+        fields = array("Q", total.to_bytes(8 * words, _NATIVE))
+        return array("Q", map(p.__rmod__, fields)).tobytes()
 
-        weights[1] = 1 puts a term in every coordinate.
-        """
-        pairs = [[] for _ in range(h)]
-        for w, plane in zip(weights, planes):
-            if any(w):
-                for s in range(h):
-                    column = polymul_mod(modulus, p, w, basis[s])  # w * t^s
-                    for r in range(h):
-                        c = -column[r] % p
-                        if c:
-                            pairs[r].append((c, plane[s]))
-        out = []
-        for r_pairs in pairs:
-            cs = [c for c, _ in r_pairs]
-            out.append([sum(map(mul, cs, col)) % p for col in zip(*[v for _, v in r_pairs])])
-        return out
-
-    for _ in range(nm):
-        planes = [[coord[a::q] for coord in coords] for a in range(q)]
-        blocks = [planes[0]] + [None] * (q - 1)  # c_0 = v(0)
-        powers = [basis[0]] * q  # a^(q-1-k), from k = q-1 down to k = 1
-        for k in range(q - 1, 0, -1):
-            blocks[k] = negated_sum(powers, planes)
-            powers = [polymul_mod(modulus, p, w, a) for w, a in zip(powers, elements)]
-        coords = [[x for block in blocks for x in block[r]] for r in range(h)]
-    return coords
+    def interpolate(coords):
+        for _ in range(nm):
+            ints = [[int.from_bytes(c[a::q], _NATIVE) for a in planes] for c in coords]
+            zeros = [c[0::q] for c in coords]
+            blocks = [[z.tobytes()] for z in zeros]  # c_0 = v(0)
+            for j in range(order - 1, -1, -1):  # k = q-1-j from 1 up
+                exponents = [l * j % order for l in range(order)]
+                for r, out in enumerate(blocks):
+                    total = (p - 1) * int.from_bytes(zeros[r], _NATIVE) if j == 0 else 0  # 0^0 = 1
+                    for s in range(h):
+                        total += sum(map(mul, map(neg[r][s].__getitem__, exponents), ints[s]))
+                    out.append(reduced(total))
+            coords = [array("Q", b"".join(out)) for out in blocks]
+        return coords
+    return interpolate

@@ -141,6 +141,15 @@ class MultiPoly:
         unpack = _codec(len(self.variables), self.width)[1]
         return dict(zip(map(tuple, map(unpack, self.terms)), self.terms.values()))
 
+    def sparse_terms(self):
+        """(((variable index, exponent), ...), coefficient) for each term, the
+        nonzero exponents only; only the slots of variables that occur are read."""
+        unpack = _codec(len(self.variables), self.width)[1]
+        occurring = list(compress(count(), _or_slots(self)))
+        for key, coeff in self.terms.items():
+            slots = unpack(key)
+            yield tuple((v, slots[v]) for v in occurring if slots[v]), coeff
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

@@ -23,6 +23,7 @@ argument, so the other digits of arguments 1 and r fix e01 and e0r.
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import lru_cache, partial, reduce
 from itertools import chain
 
@@ -102,21 +103,22 @@ class _Rows:
         """The variable in slot `index`."""
         return self.encode({1 << self.slot * (self.arity - 1 - index): 1})
 
-    def fields(self, row):
-        """[(e0r, c)] for the nonzero fields of a row, e0r from 0 up."""
-        half, width = self.half, self.width
-        if not width or -half < row < half:
-            return [(0, row)]
-        count = row.bit_length() // width + 1
-        raw = (row + int.from_bytes(self.bias * count, "little")).to_bytes(count * width // 8, "little")
-        step = width // 8
-        words = (memoryview(raw).cast("Q") if width == 64 and sys.byteorder == "little" else
-                 [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)])
-        return [(e, w - half) for e, w in enumerate(words) if w != half]
+    def words(self, row):
+        """The fields of a row plus `half`, e0r from 0 up: a zero field reads `half`."""
+        step = self.width // 8
+        count = row.bit_length() // self.width + 1
+        raw = (row + int.from_bytes(self.bias * count, "little")).to_bytes(count * step, "little")
+        if step == 8 and sys.byteorder == "little":
+            return array("Q", raw)
+        return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
     def terms(self, rows):
-        """The number of terms the rows hold."""
-        return sum(len(self.fields(row)) for row in rows.values()) if self.width else len(rows)
+        """The number of terms the rows hold: a row within one field holds one,
+        a wider row its words other than `half`."""
+        if not self.width:
+            return len(rows)
+        wide = [self.words(row) for row in rows.values() if not -self.half < row < self.half]
+        return len(rows) - len(wide) + sum(len(w) - w.count(self.half) for w in wide)
 
     def divide(self, rows, d):
         """{key: coefficient / d} of the terms the rows hold; every coefficient
@@ -128,11 +130,13 @@ class _Rows:
                 if not rem:
                     out[key] = q
                     continue
-            for e, c in self.fields(row):
+            fields = [w - half for w in self.words(row)] if half else [row]
+            for e, c in enumerate(fields):
                 q, rem = divmod(c, d)
                 if rem:
                     raise ExactDivisionError(f"coefficient {c} not divisible by {d}")
-                out[key - e * lift] = q
+                if c:
+                    out[key - e * lift] = q
         return out
 
 

@@ -246,6 +246,28 @@ def test_minimal_d_matches_enumeration(monkeypatch, budget):
     assert max(d for d in seen if d != "budget") >= 3
 
 
+def test_minimal_d_in_a_wide_context():
+    # 300 declared variables in 2-byte slots (x3^300); x7, x9 and x250 occur
+    # in live terms, out of slot order, and x3 only in a term that vanishes
+    # mod p^m_k.  The search reads the slots of the variables that occur.
+    n = 300
+    names, box_names = system_variable_names(n), box_variable_names(n, 1)
+    dom = FieldDomain(F2)
+
+    def exps(**powers):
+        return tuple(powers.get(f"x{l}", 0) for l in range(1, n + 1))
+
+    f = MultiPoly(ZZ, names, {exps(x250=2, x7=1): 3, exps(x9=1): 2, exps(x3=300): 8, exps(): 1})
+    assert f.width == 16
+    g = MultiPoly.variable(dom, box_names, "x[0][1]") * MultiPoly.variable(dom, box_names, "x[0][2]")
+    spec = BoxSpec(F2, n, 1, {(1, 7): g, (1, 250): g * MultiPoly.variable(dom, box_names, "x[0][3]"),
+                              (2, 9): g})
+    for mk in (1, 2, 3):
+        inst = make_instance(spec, [(f, mk)])
+        assert minimal_d(inst, 0) == enumerated_minimal_d(inst, 0)
+    assert minimal_d(inst, 0) == 3
+
+
 def test_bound_report_example41():
     inst = parse_instance(EXAMPLE_41)
     count = count_zeros(inst)

@@ -1,11 +1,15 @@
 import random
+from array import array
+from operator import mul
 
 import pytest
 
-from wittbox.errors import BudgetError, ValidationError
-from wittbox.fqfield import field_params, fq, from_index
+from wittbox.errors import BudgetError, ConfigError, ValidationError
+from wittbox.fqfield import GRParams, _is_prime, field_params, fq, fq_enumerate, from_index, polymul_mod
 from wittbox.poly import FieldDomain, MultiPoly
 from wittbox.box import (
+    TABLE_BUDGET,
+    _transform,
     box_enumerate,
     box_from_table,
     box_make,
@@ -183,18 +187,81 @@ def test_box_from_table_roundtrip():
     assert g.render() == "x[0][1] + 1"
 
 
+def _f2_table(n=1, m=1, precision=2):
+    return [(pt.base, pt.digits) for pt in box_enumerate(teichmuller_box(F2, n, m), precision)]
+
+
+GR4 = GRParams(F2, 2)  # Z/4: its elements are not in F_2, whatever their code
+
+
+def _foreign_base(code, precision):
+    """The F_2 table with the base of its last row replaced by an element of Z/4."""
+    table = _f2_table(precision=precision)
+    odd = from_index(GR4, code)
+    return table[:-1] + [((odd,), ((odd,) + table[-1][1][0][1:],))]
+
+
+def _foreign_digit():
+    table = _f2_table()
+    base, digits = table[-1]
+    return table[:-1] + [(base, ((digits[0][0], from_index(GR4, 1)),))]
+
+
+# name -> (table, exception type, message); each table has one fault
+REFUSALS = {
+    "arity": (lambda: [((fq(F2, 0), fq(F2, 0)), d) for _, d in _f2_table()], ValidationError,
+              "base point has wrong arity"),
+    "shape-columns": (lambda: [(b, d + d) for b, d in _f2_table()], ValidationError,
+                      "digit table has wrong shape"),
+    "shape-precision": (lambda: [(b, (d[0][:1],)) for b, d in _f2_table()], ValidationError,
+                        "digit table has wrong shape"),
+    "missing": (lambda: _f2_table()[:1], ValidationError, "table must have exactly 2 rows, got 1"),
+    "duplicate": (lambda: _f2_table() + _f2_table()[:1], ValidationError,
+                  "duplicate base point in table"),
+    "disagree": (lambda: [(b, ((d[0][1], d[0][1]),)) for b, d in _f2_table()], ValidationError,
+                 "table digits below m disagree with the base point"),
+    # a code past q indexed past the table; one below q was taken silently
+    "foreign-base-code-3": (lambda: _foreign_base(3, 2), ConfigError,
+                            "F_q element from a different field"),
+    "foreign-base-code-1-precision-m": (lambda: _foreign_base(1, 1), ConfigError,
+                                        "F_q element from a different field"),
+    "foreign-digit": (_foreign_digit, ConfigError, "F_q element from a different field"),
+    "not-an-element": (lambda: [(b, ((d[0][0], "1"),)) for b, d in _f2_table()], ConfigError,
+                       "cannot coerce '1' into F_q"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_box_from_table_refusals(name):
+    make, error, message = REFUSALS[name]
+    table = make()
+    precision = len(table[-1][1][0]) if name.startswith("foreign-base") else 2
+    with pytest.raises(error) as info:
+        box_from_table(F2, 1, 1, precision, table)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_box_from_table_validation():
-    spec = teichmuller_box(F2, 1, 1)
-    table = [(pt.base, pt.digits) for pt in box_enumerate(spec, 2)]
-    with pytest.raises(ValidationError):
-        box_from_table(F2, 1, 1, 2, table[:1])  # missing rows
-    with pytest.raises(ValidationError):
-        box_from_table(F2, 1, 1, 2, table + table[:1])  # duplicate row
-    bad = [(base, ((digits[0][1], digits[0][1]),)) for base, digits in table]
-    with pytest.raises(ValidationError):
-        box_from_table(F2, 1, 1, 2, bad)  # digits below m disagree with base
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as info:
         box_from_table(F2, 30, 1, 2, [])
+    assert str(info.value) == "table of 1073741824 rows exceeds the budget 1048576"
+    with pytest.raises(BudgetError):  # refused before the table is read
+        box_from_table(F2, 21, 1, 2, iter(lambda: 1 / 0, None))
+    # an element of an equal field built apart is no foreign element
+    twin = field_params(2)
+    assert twin is not F2
+    assert box_from_table(twin, 1, 1, 2, _f2_table()).generators == {}
+
+
+def test_fields_never_carry_under_the_table_budget():
+    # a block field sums q*h products of a weight and a value, both below p;
+    # p^h = q <= TABLE_BUDGET bounds q*h*p^2 by q^3 < 2^64 for every (p, h)
+    assert TABLE_BUDGET ** 3 < 1 << 64
+    for h in range(1, 21):
+        p = next(p for p in range(int(round(TABLE_BUDGET ** (1 / h))) + 1, 1, -1)
+                 if p ** h <= TABLE_BUDGET and _is_prime(p))
+        assert p ** h * h * p ** 2 < 1 << 64, (p, h)
+    assert p == 2 and next(p for p in range(TABLE_BUDGET, 1, -1) if _is_prime(p)) == 1048573
 
 
 # (p, h, n, m, precision): q in {2, 3, 4, 5, 7, 9}, at most 125 table rows.
@@ -234,3 +301,63 @@ def test_box_from_table_random_roundtrip(p, h, n, m, precision):
     table = [(pt.base, pt.digits) for pt in box_enumerate(spec, precision)]
     rng.shuffle(table)  # row order is not part of the contract
     assert box_from_table(field, n, m, precision, table).generators == spec.generators
+
+
+def reference_interpolate(field, coords, nm):
+    """The list-based transform: reduced-interpolant coefficients from values
+    on F_q^{nm}, as h coordinate lists over F_p indexed big-endian.
+
+    Each pass transforms the last axis and moves it to the front, computing
+    every weight a^(q-1-k) * t^s with `polymul_mod`.
+    """
+    p, q, h, modulus = field.p, field.q, field.h, field.modulus
+    elements = [a.coeffs for a in fq_enumerate(field)]
+    basis = [tuple(int(r == s) for r in range(h)) for s in range(h)]
+
+    def negated_sum(weights, planes):
+        """-sum_a weights[a] * planes[a], one list per coordinate."""
+        pairs = [[] for _ in range(h)]
+        for w, plane in zip(weights, planes):
+            if any(w):
+                for s in range(h):
+                    column = polymul_mod(modulus, p, w, basis[s])  # w * t^s
+                    for r in range(h):
+                        c = -column[r] % p
+                        if c:
+                            pairs[r].append((c, plane[s]))
+        out = []
+        for r_pairs in pairs:
+            cs = [c for c, _ in r_pairs]
+            out.append([sum(map(mul, cs, col)) % p for col in zip(*[v for _, v in r_pairs])])
+        return out
+
+    for _ in range(nm):
+        planes = [[coord[a::q] for coord in coords] for a in range(q)]
+        blocks = [planes[0]] + [None] * (q - 1)  # c_0 = v(0)
+        powers = [basis[0]] * q  # a^(q-1-k), from k = q-1 down to k = 1
+        for k in range(q - 1, 0, -1):
+            blocks[k] = negated_sum(powers, planes)
+            powers = [polymul_mod(modulus, p, w, a) for w, a in zip(powers, elements)]
+        coords = [[x for block in blocks for x in block[r]] for r in range(h)]
+    return coords
+
+
+# (p, h, nm): q in {2, 3, 4, 5, 7, 8, 9, 25}, and one axis at q = 101.
+TRANSFORM_SHAPES = [
+    (2, 1, 1), (2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3), (7, 1, 2), (2, 3, 2),
+    (3, 2, 2), (5, 2, 1), (5, 2, 2), (101, 1, 1),
+]
+
+
+@pytest.mark.parametrize("p,h,nm", TRANSFORM_SHAPES)
+def test_transform_matches_the_list_oracle(p, h, nm):
+    field = field_params(p, h)
+    rng = random.Random(f"transform:{p}:{h}:{nm}")
+    interpolate = _transform(field, nm)
+    size = field.q ** nm
+    for density in (0.0, 0.3, 1.0):  # zero, sparse and dense values, p - 1 included
+        coords = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(size)]
+                  for _ in range(h)]
+        coords[0][-1] = p - 1
+        got = interpolate([array("Q", c) for c in coords])
+        assert [list(c) for c in got] == reference_interpolate(field, coords, nm)

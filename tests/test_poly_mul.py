@@ -127,6 +127,8 @@ def test_layouts_do_not_change_the_polynomial(pair):
         assert g.total_degree() == max(map(sum, exps), default=0)
         if g.domain != ZZ:
             assert g.is_reduced() == (max(chain.from_iterable(exps), default=0) < F4.q)
+        sparse = {tuple((v, e) for v, e in enumerate(key) if e): c for key, c in exps.items()}
+        assert dict(g.sparse_terms()) == sparse
     assert f + wide == f * 2 and (wide - f).is_zero()
 
 
