@@ -21,6 +21,9 @@ from .fqfield import FieldParams, GRElem, _prime_factors, fq_enumerate, from_ind
 from .poly import FieldDomain, MultiPoly
 
 TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
+# multiply-adds nm * q^(nm+1) * h^2 of its largest transform: q = 8191 at n = m = 1, the
+# slowest shape accepted, takes 9-10 s on a 2-core VM
+TRANSFORM_BUDGET = 1 << 26
 _NATIVE = sys.byteorder  # of the machine words in `array('Q')`
 
 
@@ -84,19 +87,16 @@ class BoxPoint:
     digits: tuple  # n tuples of M' F_q elements each
 
 
-def decode_base(spec: BoxSpec, index: int):
-    """Base point for a base-space index (big-endian base-q over flattened digits)."""
+def decode_base(spec: BoxSpec, index: int, elements=None):
+    """Base point for a base-space index (big-endian base-q over flattened digits);
+    `elements`, as `fq_enumerate` lists them, are shared by points and digits."""
     q = spec.field.q
-    nm = spec.n * spec.m
-    codes = []
-    for _ in range(nm):
-        codes.append(index % q)
-        index //= q
-    codes.reverse()
-    return tuple(from_index(spec.field.ring, c) for c in codes)
+    codes = [index // q ** k % q for k in reversed(range(spec.n * spec.m))]
+    element = elements.__getitem__ if elements else partial(from_index, spec.field.ring)
+    return tuple(map(element, codes))
 
 
-def expand_point(spec: BoxSpec, base, precision: int) -> BoxPoint:
+def expand_point(spec: BoxSpec, base, precision: int, elements=None) -> BoxPoint:
     names = spec.variables
     assignment = dict(zip(names, base))
     digits = []
@@ -106,7 +106,8 @@ def expand_point(spec: BoxSpec, base, precision: int) -> BoxPoint:
             if i < spec.m:
                 col.append(base[i * spec.n + (j - 1)])
             else:
-                col.append(spec.generator(i, j).evaluate(assignment))
+                value = spec.generator(i, j).evaluate(assignment)
+                col.append(elements[value.to_index()] if elements else value)
         digits.append(tuple(col))
     return BoxPoint(base=tuple(base), digits=tuple(digits))
 
@@ -115,8 +116,9 @@ def box_enumerate(spec: BoxSpec, precision: int):
     """Stream the q^{nm} points with digits computed up to the given precision."""
     if precision < spec.m:
         raise ValidationError("precision must be at least m")
+    elements = fq_enumerate(spec.field)  # every digit of every point is one of these
     for index in range(spec.base_size()):
-        yield expand_point(spec, decode_base(spec, index), precision)
+        yield expand_point(spec, decode_base(spec, index, elements), precision, elements)
 
 
 def closeness_check(spec: BoxSpec, m_prime: int):
@@ -152,6 +154,10 @@ def box_from_table(field: FieldParams, n: int, m: int, precision: int, table) ->
     expected = q ** nm
     if expected > TABLE_BUDGET:
         raise BudgetError(f"table of {expected} rows exceeds the budget {TABLE_BUDGET}")
+    work = nm * q ** (nm + 1) * field.h ** 2
+    if work > TRANSFORM_BUDGET:
+        raise BudgetError(f"interpolating {expected} rows takes {work} multiply-adds, "
+                          f"past the budget {TRANSFORM_BUDGET}")
     dom = FieldDomain(field)
     rows = [(tuple(base), tuple(map(tuple, digits))) for base, digits in table]
     if any(len(base) != nm for base, _ in rows):

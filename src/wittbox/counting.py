@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import combinations, compress, product, repeat
+from itertools import accumulate, combinations, product, repeat
 
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError, decimal
@@ -133,13 +135,11 @@ class _IntRing:
             self.add = lambda a, b: tuple(map(operator.add, a, b))
             self.reduce = lambda v: tuple([c % mod for c in v])
         self.h = field.h
-        self.zero = self.element((0,))
+        self.zero = self.element((0,) * field.h)
 
     def element(self, coeffs):
-        """The element with these ascending coefficients in t (padded to h)."""
-        if self.h == 1:
-            return self.reduce(coeffs[0])
-        return self.reduce(tuple(coeffs) + (0,) * (self.h - len(coeffs)))
+        """The element with these h ascending coefficients in t."""
+        return self.reduce(coeffs[0] if self.h == 1 else tuple(coeffs))
 
 
 def _compile(poly, coerce):
@@ -156,6 +156,14 @@ def _digit(lo, hi, stride, base):
 def _held(entries):
     """The reader of a list: the entries at an iterable of indices."""
     return lambda indices: list(map(entries.__getitem__, indices))
+
+
+def _join(values, size):
+    """Per-point ints as one packed row: value i at bytes [i*size, (i+1)*size)."""
+    if size == 8 and sys.byteorder == "little":  # a machine word per point
+        return int.from_bytes(array("Q", values), "little")
+    data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
+    return int.from_bytes(data, "little")
 
 
 def _table(size, entries):
@@ -214,14 +222,12 @@ class _Kernel:
     or would cost more than enumerating the columns left, the core, in rows
     over its `inner` last columns.
 
-    A row of the core fixes all its columns but the `inner` last ones, and a
-    row of an elimination fixes the columns of its message.  The plan of each
-    splits the monomials once: one that reads only fixed columns is one
-    scalar per row; the sum of those that read only moving columns is
-    tabulated once per plan; a mixed one has its fixed factors multiplied
-    into its multiplier once per row, and only its moving factors are read
-    per point.  With no fixed column there is one row, and every monomial is
-    read per point.  The zeros of a row are counted with C-level maps.
+    A row of the core fixes all its columns but the `inner` last ones, and a row
+    of an elimination fixes the columns of its message; it is one int, its points
+    side by side (`_join`).  Its plan splits the monomials once: one that reads only
+    fixed columns is one scalar per row; those that read only moving columns sum to
+    one row per plan; a mixed one is its fixed factors times its multiplier times the
+    rows of its moving factor.  A core without messages counts from low bits (`_zeros`).
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -243,29 +249,33 @@ class _Kernel:
                 else:
                     constants[k] = c
 
-        # Slot s = k*h + r holds coefficient r of f_k; every sum a point adds
-        # up stays below half a slot, so slots never carry.
+        # Slot s = k*h + r (coefficient r of f_k) sums at most len(monomials) + 1 terms, each
+        # a multiplier below 2^K times at most h products of values below p^precision: it
+        # stays below bound << K < 2^F, never carrying; unscaled, its sum v is below 2^K.
         mods = [p ** mk for _, mk in inst.system for _ in range(h)]
-        width = ((2 * len(monomials) + 2) * h * p ** (3 * precision)).bit_length() + 1
-        shifts = range(0, width * len(mods), width)
-        slots, full = list(zip(shifts, mods)), (1 << width) - 1
+        bound = (len(monomials) + 1) * h * p ** (2 * precision)
+        K = precision if p == 2 else (bound * p ** precision).bit_length()
+        self.width = F = (bound << K).bit_length()
+        self.bytes = max(8, -(-F * len(mods) // 8))  # P / 8: a point's S slots, in bytes
+        shifts = range(0, F * len(mods), F)
+        slots, full = list(zip(shifts, mods)), (1 << F) - 1
         self.space = math.prod(mods)  # |prod_k GR(p^{m_k}, h)|, a bound on any histogram
-        if p == 2:
-            mask = sum(pk - 1 << s for s, pk in slots)
-            self.reduce = lambda v: v & mask
-            self.zeros = lambda row: list(map(mask.__and__, row)).count(0)
-        else:
-            self.reduce = lambda v: sum((v >> s & full) % pk << s for s, pk in slots)
-
-            def zeros(row):  # the points left zero in each slot in turn
-                for s, pk in slots:
-                    row = list(compress(row, map(operator.not_, map(pk.__rmod__, map(
-                        full.__and__, map(operator.rshift, row, repeat(s)) if s else row)))))
-                return len(row)
-            self.zeros = zeros
-        self.pack = (lambda v: v) if h == 1 else (lambda v: sum(map(operator.lshift, v, shifts)))
-        self.basis = [gr.element([0] * r + [1]) for r in range(1, h)]  # t, ..., t^(h-1)
-        self.apply = operator.mul if h == 1 else (lambda x, sums: sum(map(operator.mul, x, sums)))
+        # With u_k in its multipliers, p^{m_k} | v iff a slot's low bits, u_k * v mod 2^K (odd p;
+        # Granlund and Montgomery 1994) or v mod 2^{m_k} (p = 2, u_k = 1), are at most
+        # low // p^{m_k}: iff adding the rest leaves bit K, the guard, 0.
+        lows = [pk - 1 if p == 2 else (1 << K) - 1 for pk in mods]
+        adds = [(1 << K) - 1 - low // pk for low, pk in zip(lows, mods)]
+        self.test = [sum(v << s for v, s in zip(values, shifts))  # the last: slot 0's guard
+                     for values in (lows, adds, [1 << K] * len(mods), [1 << K])]
+        self.reduce = self.test[0].__and__ if p == 2 else (  # the low bits of v mod 2^{m_k}
+            lambda v: sum((v >> s & full) % pk << s for s, pk in slots))
+        self.fold = [min(1 << i, len(mods) - (1 << i)) * F  # slot 0 then ORs min(2^(i+1), S)
+                     for i in range((len(mods) - 1).bit_length())]
+        self.repeats = {}  # points -> the test's constants repeated over a row of them
+        self.pack = operator.index if h == 1 else (lambda v: sum(map(operator.lshift, v, shifts)))
+        order, tail = p ** precision, field.modulus[:h]  # t^h = -sum tail[i] t^i
+        self.by_t = lambda y: accumulate(range(1, h), lambda z, _: tuple(  # y * t^r for r < h
+            [(c - z[-1] * a) % order for c, a in zip((0,) + z[:-1], tail)]), initial=y)
 
         def scale(coeffs):
             return sum(c % pk << s for c, pk, s in zip(coeffs, mods[::h], shifts[::h]))
@@ -340,7 +350,12 @@ class _Kernel:
                                    for hist in table], 0))
         self.pending = [(_held(table), self._place(sep, core, self.inner))
                         for sep, table, _ in messages]
-        self.plan = self._plan([t for s in scopes for t in self.factors[s]], core, self.inner)
+        def scaled(v):  # u_k = 1/p^{m_k} mod 2^K into the slots of f_k, for the zero test
+            return v if self.pending or p == 2 else sum(
+                (v >> s & full) * pow(pk, -1, 1 << K) % (1 << K) << s for s, pk in slots)
+        self.shift = scaled(self.shift)
+        self.plan = self._plan([(mono, scaled(c)) for s in scopes for mono, c in self.factors[s]],
+                               core, self.inner)
 
     def _values_at(self, j, lo, hi):
         """Column j's values at the assignments lo..hi-1 of its reach, big-endian."""
@@ -376,18 +391,6 @@ class _Kernel:
                 return ys if below is None else list(map(mul, below(range(lo, hi)), ys))
         self.powers[(j, e)] = _table(size, entries)
         return self.powers[(j, e)]
-
-    def _packed(self, j, e, alone):
-        """Per value y of column j, y^e packed if h = 1 or `alone`, else
-        [y^e * t^r packed for r < h]: the monomial y^e * x has the value
-        x * entry, or sum_r x_r * entry[r]."""
-        if (j, e, alone) not in self.powers:
-            ys, mul, pack, basis = self._power(j, e), self.gr.mul, self.pack, self.basis
-            self.powers[(j, e, alone)] = ys if not basis else _table(
-                self.Q ** len(self.reach[j]), lambda lo, hi: [
-                    pack(y) if alone else [pack(y)] + [pack(mul(y, t)) for t in basis]
-                    for y in ys(range(lo, hi))])
-        return self.powers[(j, e, alone)]
 
     def _next_column(self, core, scopes, messages, acc):
         """The column to eliminate next, or None when enumerating the core
@@ -434,7 +437,7 @@ class _Kernel:
         for outer in product(range(Q), repeat=len(sep)):
             found = [self._read(table, place, outer, 0, Q) for table, place in hists]
             message = {}
-            for r, *hs in zip(self._row(plan, outer, 0, Q, 0), *found):
+            for r, *hs in zip(self._split(self._row(plan, outer, 0, Q, 0), Q), *found):
                 for key, x in _product(hs, reduce(r), reduce).items():
                     message[key] = message.get(key, 0) + x
             out.append(message)
@@ -469,13 +472,13 @@ class _Kernel:
         return table(map(base.__add__, offsets[lo:hi]))
 
     def _plan(self, monomials, over, inner):
-        """Monomials placed for rows over `over` whose last `inner` columns
-        move, in three groups: (tables, multiplier) of those that read no
-        moving column; a table, or None, of the sum of those that read no
-        fixed column; and (tables read once per row, tables read per point,
-        the last moving factor's packed table, its place, multiplier) of the
-        rest.  With no fixed column every monomial is in the rest."""
+        """Monomials placed for rows over `over` whose last `inner` columns move: (tables,
+        multiplier) of those that read no moving column; the terms of those that read no
+        fixed column and the reader of their sum, or None; the terms of the rest (all, if
+        no column is fixed).  A term is (tables read once per row, tables read per point,
+        the last moving factor's table, its place, multiplier, its `_columns` reader)."""
         fixed, invariant, mixed = [], [], []
+        kept = max(2, HISTOGRAM_CAP // min(self.Q ** inner, ROW)) if inner < len(over) else 0
         for mono, c in monomials:
             reads = [(self._place(self.reach[i], over, inner), i, e) for i, e in mono]
             held = [(self._power(i, e), place) for place, i, e in reads if place[1] is None]
@@ -487,42 +490,69 @@ class _Kernel:
             others = [(self._power(i, f), where) for where, i, f in others]
             if others:  # a product of moving factors is taken per point anyway
                 held, others = [], held + others
-            term = (held, others, self._packed(j, e, len(reads) == 1), place, c)
-            if inner < len(over) and not any(any(where[0]) for where, _, _ in reads):
-                invariant.append(term)
-            else:
-                mixed.append(term)
-        table = _table(self.Q ** inner, lambda lo, hi: self._row(
-            ([], None, invariant), [0] * (len(over) - inner), lo, hi, 0)) if invariant else None
-        return fixed, table, mixed
+            term = (held, others, self._power(j, e), place, c)
+            term += (self._columns(term, kept),)
+            per_row = inner == len(over) or any(any(where[0]) for where, _, _ in reads)
+            (mixed if per_row else invariant).append(term)
+        table = lru_cache(kept)(lambda lo, hi: sum(  # invariant terms have no fixed factor
+            c * columns((), lo, hi)[0] for *_, c, columns in invariant)) if invariant else None
+        return fixed, invariant, table, mixed
+
+    def _columns(self, term, kept):
+        """The reader, kept per span, of the rows of a term's entries y, of y * t^r (r < h)
+        or of y times the tables read per point; it refers to no kernel."""
+        held, others, table, place, _ = term
+        pack, by_t, mul, size, get = self.pack, self.by_t, self.gr.mul, self.bytes, self._read
+        split = self.gr.h > 1 and bool(held)  # x from fixed factors
+
+        def read(at, outer, lo, hi):
+            ys = get(table, at, outer, lo, hi)
+            for t, where in others:
+                ys = map(mul, get(t, where, outer, lo, hi), ys)
+            columns = zip(*[map(pack, by_t(y)) for y in ys]) if split else [map(pack, ys)]
+            return [_join(column, size) for column in columns]
+        if others or not kept:  # in one row no span is read twice
+            return partial(read, place)
+        spans = lru_cache(kept)(lambda base, lo, hi: read(((1,), place[1]), (base,), lo, hi))
+        return lambda outer, lo, hi: spans(sum(map(operator.mul, outer, place[0])), lo, hi)
 
     def _row(self, plan, outer, lo, hi, start):
-        """`start` plus the planned monomials, packed and unreduced, at the
-        points lo..hi-1 of the row after `outer`."""
-        fixed, invariant, mixed = plan
-        gr = self.gr
+        """`start` plus the planned monomials at points lo..hi-1 of the row after `outer`."""
+        fixed, _, invariant, mixed = plan
 
         def held(factors):
             values = [self._read(table, place, outer, 0, 1)[0] for table, place in factors]
-            return reduce(gr.mul, values) if values else None
+            return reduce(self.gr.mul, values) if values else None
         for factors, c in fixed:
             start += c * self.pack(held(factors))
-        values = ([start] * (hi - lo) if invariant is None
-                  else list(map(start.__add__, invariant(range(lo, hi)))))
-        for factors, others, packed, place, c in mixed:
-            x, sums = held(factors), self._read(packed, place, outer, lo, hi)
-            if others:
-                sums = map(self.apply, reduce(partial(map, gr.mul), (
-                    self._read(table, where, outer, lo, hi) for table, where in others)), sums)
-            if x is None:
-                parts = [(c, sums)]
-            elif gr.h == 1:
-                parts = [(c * x, sums)]
-            else:  # x = sum_r x_r * t^r, and column r of the packed table holds y * t^r
-                parts = zip([c * x_r for x_r in x], zip(*sums))
-            for k, column in parts:
-                values = list(map(operator.add, values, map(k.__mul__, column)))
-        return values
+        row = start * self._repeat(hi - lo)[0] + (invariant(lo, hi) if invariant else 0)
+        for factors, _, _, _, c, columns in mixed:
+            x = held(factors)  # x = sum_r x_r * t^r, and column r holds y * t^r
+            ks = [c] if x is None else [c * x] if self.gr.h == 1 else [c * x_r for x_r in x]
+            row += sum(map(operator.mul, ks, columns(outer, lo, hi)))
+        return row
+
+    def _split(self, row, n):
+        """The n per-point ints of a packed row."""
+        if self.bytes == 8 and sys.byteorder == "little":
+            return array("Q", row.to_bytes(8 * n, "little")).tolist()
+        data, size = row.to_bytes(n * self.bytes, "little"), self.bytes
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, n * size, size)]
+
+    def _repeat(self, n):
+        """1, then each constant of the zero test, at each of n points of a row."""
+        if n not in self.repeats:
+            ones = _join(repeat(1, n), self.bytes)
+            self.repeats[n] = [ones] + [c * ones for c in self.test]
+        return self.repeats[n]
+
+    def _zeros(self, row, n):
+        """The points of a row of n whose slots all pass the zero test."""
+        _, low, add, guard, first = self._repeat(n)
+        nonzero = (row & low) + add & guard  # the guard of each slot that fails
+        for step in self.fold:
+            nonzero |= nonzero >> step
+        return n - (nonzero & first).bit_count()
 
     def count(self, start: int, stop: int) -> int:
         """Zeros among the core points [start, stop), big-endian over the core
@@ -535,10 +565,10 @@ class _Kernel:
             outer = [prefix // self.Q ** k % self.Q for k in range(len(self.core) - self.inner)][::-1]
             row = self._row(self.plan, outer, lo, hi, self.shift)
             if not self.pending:
-                zeros += self.zeros(row)
+                zeros += self._zeros(row, hi - lo)
                 continue
             *found, last = [self._read(t, place, outer, lo, hi) for t, place in self.pending]
-            for r, hist, *hists in zip(row, last, *found):
+            for r, hist, *hists in zip(self._split(row, hi - lo), last, *found):
                 weights = _product(hists, reduce(r), reduce)
                 zeros += sum(x * hist.get(k, 0) for k, x in weights.items())
         return zeros

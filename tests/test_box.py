@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from array import array
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from wittbox.fqfield import GRParams, _is_prime, field_params, fq, fq_enumerate,
 from wittbox.poly import FieldDomain, MultiPoly
 from wittbox.box import (
     TABLE_BUDGET,
+    TRANSFORM_BUDGET,
     _transform,
     box_enumerate,
     box_from_table,
@@ -251,6 +254,47 @@ def test_box_from_table_validation():
     twin = field_params(2)
     assert twin is not F2
     assert box_from_table(twin, 1, 1, 2, _f2_table()).generators == {}
+
+
+def _interp_ladder():
+    path = Path(__file__).resolve().parents[1] / "tools" / "interp_ladder.py"
+    spec = importlib.util.spec_from_file_location("interp_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LADDER
+
+
+def test_transform_budget_refuses_before_any_row_is_read():
+    # the transform takes nm * q^(nm+1) * h^2 multiply-adds: with nm = 1 a q^2
+    # transform, about 10^12 for the largest prime q the row budget admits
+    unread = iter(lambda: 1 / 0, None)
+    assert TRANSFORM_BUDGET == 1 << 26
+    for p, work in ((1048573, 1099505336329), (8209, 67387681)):
+        with pytest.raises(BudgetError) as info:
+            box_from_table(field_params(p), 1, 1, 2, unread)
+        assert type(info.value) is BudgetError and str(info.value) == (
+            f"interpolating {p} rows takes {work} multiply-adds, past the budget 67108864")
+    # accepted up to the budget: q = 8191 at n = m = 1 (67,092,481), the
+    # largest q = 2 table (nm = 20), every shape of tools/interp_ladder.py and
+    # every table the tests build; an empty table then fails the row count
+    shapes = [(8191, 1, 1), (2, 20, 1)] + _interp_ladder()
+    for q, n, m in shapes:
+        with pytest.raises(ValidationError, match="^table must have exactly"):
+            box_from_table(field_params(q), n, m, m + 2, [])
+    for field, n, m in ((F2, 2, 2), (F2, 1, 1), (F4, 1, 2), (field_params(7), 2, 1),
+                        (field_params(3, 2), 2, 1), (field_params(5), 3, 1)):
+        assert n * m * field.q ** (n * m + 1) * field.h ** 2 <= TRANSFORM_BUDGET
+
+
+def test_enumerated_points_share_the_field_elements():
+    # every digit of every point, base or generator value, is one of the q
+    # elements of one fq_enumerate, not an element built per digit
+    spec = box_make(F4, 2, 1, {(1, 1): var(F4, 2, 1, "x[0][2]"), (2, 2): var(F4, 2, 1, "x[0][1]")})
+    points = list(box_enumerate(spec, 3))
+    digits = [d for pt in points for d in pt.base + sum(pt.digits, ())]
+    assert len(digits) == 16 * 8 and len({id(d) for d in digits}) == 4
+    # the points are those expand_point builds on its own
+    assert points == [expand_point(spec, decode_base(spec, k), 3) for k in range(16)]
 
 
 def test_fields_never_carry_under_the_table_budget():

@@ -8,12 +8,16 @@ and `is_zero`; `count_zeros` must match it exactly on every instance.  The
 through generators, so the kernel sums columns out into residue histograms
 there instead of deciding each point; in a few of them several histograms
 are left, and each point is weighed by their convolution.
+
+`reference_row` is the list-based row, one int per point, that the kernel's
+packed rows (one int per row) are checked against row by row.
 """
 
 import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +25,8 @@ import pytest
 
 import wittbox
 from wittbox.box import box_enumerate, box_make, box_variable_names
-from wittbox.counting import count_zeros, evaluate_point, make_instance, system_variable_names
+from wittbox.counting import (
+    _Kernel, _join, count_zeros, evaluate_point, make_instance, system_variable_names)
 from wittbox.errors import BudgetError
 from wittbox.fqfield import field_params, fq_enumerate
 from wittbox.instancefile import parse_instance
@@ -431,3 +436,148 @@ def test_dead_digit_levels_only_multiply(tmp_path):
     message = "^67108864 points exceed the enumeration budget 16777216$"
     with pytest.raises(BudgetError, match=message):
         count_zeros(parse_instance(text.format(m=13)))
+
+
+def reference_row(kernel, plan, outer, lo, hi, start):
+    """`start` plus the planned monomials at the points lo..hi-1 of the row
+    after `outer`, one int per point, with each y * t^r taken by the ring's
+    product: the list-based oracle of `_Kernel._row`."""
+    fixed, invariant, _, mixed = plan
+    gr, pack = kernel.gr, kernel.pack
+    basis = [gr.element(tuple(int(r == s) for s in range(gr.h))) for r in range(gr.h)]  # t^r
+
+    def held(factors):
+        values = [kernel._read(table, place, outer, 0, 1)[0] for table, place in factors]
+        return reduce(gr.mul, values) if values else None
+    for factors, c in fixed:
+        start += c * pack(held(factors))
+    values = [start] * (hi - lo)
+    for factors, others, table, place, c, _ in invariant + mixed:
+        x, ys = held(factors), kernel._read(table, place, outer, lo, hi)
+        for t, where in others:  # the product of the moving factors, per point
+            ys = [gr.mul(z, y) for z, y in zip(kernel._read(t, where, outer, lo, hi), ys)]
+        if gr.h == 1 or not factors:
+            sums = list(map(pack, ys))
+        else:  # per point, [y * t^r packed for r < h]
+            sums = [[pack(gr.mul(y, t)) for t in basis] for y in ys]
+        if x is None:
+            parts = [(c, sums)]
+        elif gr.h == 1:
+            parts = [(c * x, sums)]
+        else:  # x = sum_r x_r * t^r
+            parts = zip([c * x_r for x_r in x], zip(*sums))
+        for k, column in parts:
+            values = [v + k * y for v, y in zip(values, column)]
+    return values
+
+
+@pytest.mark.parametrize("p,h", sorted(FIELDS))
+def test_packed_rows_match_the_list_rows(p, h, monkeypatch):
+    # every row any plan builds, of the core (scaled or not) and of each
+    # elimination, split into points, equals the list-based row
+    rows, packed = [], _Kernel._row
+
+    def spy(self, plan, outer, lo, hi, start):
+        row = packed(self, plan, outer, lo, hi, start)
+        assert self._split(row, hi - lo) == reference_row(self, plan, outer, lo, hi, start)
+        assert row < 1 << 8 * self.bytes * (hi - lo)
+        rows.append(plan is getattr(self, "plan", None) and not self.pending)
+        return row
+
+    monkeypatch.setattr(_Kernel, "_row", spy)
+    insts = [inst for kind in KINDS + ("elimination",) for inst in corpus(p, h, kind)]
+    for inst in insts:
+        expected = count_zeros(inst).cardinality
+        for parts in PARTITIONS:
+            assert count_zeros(inst, partitions=parts).cardinality == expected, (inst, parts)
+    assert True in rows and False in rows  # scaled core rows and rows split into points
+
+
+DEEP = """[ring]\np = 3\nh = 2\n[problem]\nn = 2\nm = 1\n[system]
+f1 = x1^8 - x1^16 + x1^9*x2 - x1*x2 mod p^200\nf2 = {f2}\n[box]\ng[1][2] = x[0][1]\n"""
+
+
+def test_deep_precision_counts_exactly():
+    # f1 vanishes at every point only because x1 = tau(a) has x1^9 = x1 exactly
+    # mod 3^200: its slots are some 1,600 bits wide, far past one machine word
+    inst = parse_instance(DEEP.format(f2="x2^4 - x1^4 + 3*x1*x2 mod p^2"))
+    kernel = _Kernel(inst)
+    assert kernel.width > 1500 and not kernel.pending
+    assert reference_count(inst) == 9
+    for parts in PARTITIONS:
+        assert count_zeros(inst, partitions=parts).cardinality == 9
+
+
+def field_bound(inst):
+    """(K, F, bound) from what each slot of a point sums: len(monomials) + 1
+    terms, each a multiplier below 2^K times at most h products of two values
+    below p^M', so below bound * 2^K.  With multipliers below p^{m_k} <= p^M'
+    the sum is below bound * p^M', which 2^K exceeds for odd p."""
+    p, h, top = inst.field.p, inst.field.h, inst.working_precision
+    monomials = {e for f, _ in inst.system for e in f.tuple_terms() if any(e)}
+    bound = (len(monomials) + 1) * h * p ** (2 * top)
+    K = top if p == 2 else (bound * p ** top).bit_length()
+    return K, (bound << K).bit_length(), bound
+
+
+def test_fields_never_carry_at_any_precision():
+    # the slot width is the least that holds the documented bound, so no
+    # field carries into the next whatever the precision
+    insts = [inst for p, h in FIELDS for kind in KINDS + ("elimination",)
+             for inst in corpus(p, h, kind)]
+    insts += [parse_instance(DEEP.format(f2="x2 mod p^1"))] + [parse_instance(
+        f"[ring]\np = {p}\n[problem]\nn = 1\nm = 1\n[system]\nf1 = x1^2 + 2*x1 mod p^{top}\n")
+        for p in (2, 3, 5) for top in (1, 2, 5, 21, 22, 64, 65, 300)]
+    for inst in insts:
+        K, F, bound = field_bound(inst)
+        kernel = _Kernel(inst)
+        assert kernel.width == F and bound << K < 1 << F <= bound << K + 1, inst
+        assert kernel.bytes == max(8, -(-F * len(inst.system) * inst.field.h // 8))
+        # bit K, the guard, holds the carry of the low bits plus the addend
+        assert K + 2 <= F
+        p, top = inst.field.p, inst.working_precision
+        assert bound * p ** top < 1 << K if p > 2 else K == top
+
+
+# (p, h, moduli) of kernels whose zero test is probed: one to four slots
+ZERO_TESTS = [(2, 1, (1,)), (2, 2, (3, 1)), (3, 1, (2, 4, 1)), (3, 2, (1, 3)), (5, 1, (2,)),
+              (7, 1, (1, 2, 3)), (3, 1, (40,))]
+
+
+@pytest.mark.parametrize("p,h,moduli", ZERO_TESTS)
+def test_zero_test_at_its_edges(p, h, moduli):
+    # each slot of f_k holds u_k * v mod 2^K with any high bits above it; the
+    # point is zero iff p^{m_k} | v in every slot.  The probes reach the
+    # largest multiple of p^{m_k} below 2^K, the non-multiple the test maps
+    # just past its limit, and points nonzero only in their last slot
+    system = "".join(f"f{k} = x1^2 + {k}*x1 mod p^{mk}\n" for k, mk in enumerate(moduli, 1))
+    inst = parse_instance(f"[ring]\np = {p}\nh = {h}\n[problem]\nn = 1\nm = 1\n[system]\n" + system)
+    kernel = _Kernel(inst)
+    K, F, _ = field_bound(inst)
+    rng = random.Random(f"{p}-{h}-{moduli}")
+    mods = [p ** mk for mk in sorted(moduli) for _ in range(h)]
+
+    def probes(d):
+        limit = ((1 << K) - 1) // d
+        values = [0, d, limit * d, 1, d - 1, (1 << K) - 1, rng.randrange(1 << K)]
+        if p > 2:  # the v whose v / d mod 2^K is limit + 1
+            values.append((limit + 1) * d % (1 << K))
+        return values
+
+    def slot(v, d):
+        u = 1 if p == 2 else pow(d, -1, 1 << K)
+        return v * u % (1 << K) + (rng.randrange(1 << (F - K - 1)) << K)
+
+    points, expected = [], 0
+    for s, d in enumerate(mods):
+        for v in probes(d):
+            for filler in (0, 1):  # the other slots zero, or multiples of their moduli
+                vs = [filler * rng.randrange(1 << K) // e * e if t != s else v
+                      for t, e in enumerate(mods)]
+                points.append(sum(slot(w, e) << t * F for t, (w, e) in enumerate(zip(vs, mods))))
+                expected += all(w % e == 0 for w, e in zip(vs, mods))
+    rng.shuffle(points)
+    row = _join(points, kernel.bytes)
+    assert kernel._split(row, len(points)) == points
+    assert kernel._zeros(row, len(points)) == expected
+    assert 0 < expected < len(points)
