@@ -17,7 +17,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, combinations, product, repeat, starmap
 
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError, decimal
@@ -125,17 +125,16 @@ class _IntRing:
     """
 
     def __init__(self, field, precision):
-        mod = field.p ** precision
+        self.mod = mod = field.p ** precision
         if field.h == 1:
             self.mul = lambda a, b: a * b % mod
             self.add = operator.add
-            self.reduce = lambda v: v % mod
+            self.reduce = mod.__rmod__
         else:
             self.mul = partial(polymul_mod, field.modulus, mod)
             self.add = lambda a, b: tuple(map(operator.add, a, b))
             self.reduce = lambda v: tuple([c % mod for c in v])
         self.h = field.h
-        self.zero = self.element((0,) * field.h)
 
     def element(self, coeffs):
         """The element with these h ascending coefficients in t."""
@@ -148,9 +147,13 @@ def _compile(poly, coerce):
             for exps, c in poly.tuple_terms().items()]
 
 
-def _digit(lo, hi, stride, base):
-    """The digit of weight `stride` of each index lo..hi-1 in base `base`."""
-    return [index // stride % base for index in range(lo, hi)]
+def _kronecker(vs, steps, seed, op):
+    """seed op vs[k][d_k] over the positions k with a vector, d_k in the range of step (k, r),
+    the varying positions least significant first; one without a vector repeats the list."""
+    out = [seed]
+    for k, r in steps:
+        out = list(starmap(op, product(vs[k][r.start:r.stop], out))) if k in vs else out * len(r)
+    return out
 
 
 def _held(entries):
@@ -205,13 +208,13 @@ class _Kernel:
     digits only multiply the count and their generators are never read.  A
     column then takes Q = q^live values.
 
-    The *reach* of column j is j plus the columns its generators below M'
-    read; column j's value, a function of the free digits of its reach, is
-    tabulated with each power the system takes of it.  A residue vector in
-    prod_k GR(p^{m_k}, h) is one int with a `width`-bit slot per coefficient,
-    so vectors add as ints and a monomial's coefficients in every f_k are one
-    multiplier.  Monomials whose columns' reaches cover the same columns form
-    one factor over that scope.
+    The *reach* of column j is j plus the columns its generators below M' read; column
+    j's value, a function of the free digits of its reach, is tabulated with each power
+    the system takes of it, built whole as Kronecker sums and products over the digit
+    positions (`_values_at`), not point by point.  A residue vector in prod_k GR(p^{m_k},
+    h) is one int with a `width`-bit slot per coefficient, so vectors add as ints and a
+    monomial's coefficients in every f_k are one multiplier.  Monomials whose columns'
+    reaches cover the same columns form one factor over that scope.
 
     Columns are eliminated in min-fill order (bucket elimination, Dechter
     1999): summing over a column the product of the factors and messages that
@@ -274,6 +277,8 @@ class _Kernel:
         self.repeats = {}  # points -> the test's constants repeated over a row of them
         self.pack = operator.index if h == 1 else (lambda v: sum(map(operator.lshift, v, shifts)))
         order, tail = p ** precision, field.modulus[:h]  # t^h = -sum tail[i] t^i
+        self.unpack = gr.reduce if h == 1 else (  # a sum of up to M' values: M' p^M' < 2^F
+            lambda v, firsts=shifts[:h]: tuple([(v >> s & full) % order for s in firsts]))
         self.by_t = lambda y: accumulate(range(1, h), lambda z, _: tuple(  # y * t^r for r < h
             [(c - z[-1] * a) % order for c, a in zip((0,) + z[:-1], tail)]), initial=y)
 
@@ -291,26 +296,15 @@ class _Kernel:
         self.fq_powers = {e: [power(fq.element(a.coeffs), e, fq.mul) for a in elements]
                           for gs in self.generators.values() for _, g in gs
                           for _, factors in g for _, e in factors}
-        self.fq_code = {fq.element(a.coeffs): code for code, a in enumerate(elements)}
-        # p^i * tau(a) by digit code, at the levels read: the free ones and the generators'
+        # p^i * tau(a), packed, by a in F_q in digit code order, at the levels read
         taus = [teichmuller_lift(a, GRParams(field, precision)).coeffs for a in elements]
         levels = set(range(live)).union(i for gs in self.generators.values() for i, _ in gs)
-        self.lift = {i: [gr.element([p ** i * c for c in tau]) for tau in taus] for i in levels}
-        self.reach = {j: tuple(sorted({j}.union(*(
-            {slot % n for _, factors in g for slot, _ in factors}
-            for _, g in self.generators.get(j, ()))))) for j in read}
+        self.lift = {i: dict(zip([fq.element(a.coeffs) for a in elements], [
+            self.pack(gr.element([p ** i * c for c in tau])) for tau in taus])) for i in levels}
+        self.reach = {j: tuple(sorted({j, *(s % n for _, g in self.generators.get(j, ())
+                                            for _, fs in g for s, _ in fs)})) for j in read}
         self.powers = {}
         self.exponents = {j: {e for mono in monomials for i, e in mono if i == j} for j in read}
-
-        # The values the free digits of column values v < Q give the column:
-        # the sum, over runs of up to `low` digit levels, of what the run's
-        # digits add, read from a table of at most max(q, HISTOGRAM_CAP) entries.
-        low = max([k for k in range(1, live + 1) if q ** k <= HISTOGRAM_CAP] + [1])
-        runs = [(q ** max(live - a - low, 0), reduce(lambda values, i: [
-            gr.add(v, tau) for v in values for tau in self.lift[i]], range(a, min(a + low, live)),
-            [gr.zero])) for a in range(0, live, low)]
-        self.free = lambda vs: list(reduce(partial(map, gr.add), (
-            [table[v // stride % len(table)] for v in vs] for stride, table in runs)))
 
         self.factors = {}  # scope -> [(monomial, coefficient multiplier)]
         for mono, coeffs in monomials.items():
@@ -358,36 +352,43 @@ class _Kernel:
                                core, self.inner)
 
     def _values_at(self, j, lo, hi):
-        """Column j's values at the assignments lo..hi-1 of its reach, big-endian."""
-        gr, fq, reach, q, live = self.gr, self.fq, self.reach[j], self.q, self.live
-        ys = self.free(_digit(lo, hi, self.Q ** (len(reach) - 1 - reach.index(j)), self.Q))
-        # free digit slot i*n + c -> its digit codes at the points: base-q digits of the index
-        codes = {i * self.n + c: _digit(lo, hi, q ** (live * (len(reach) - k) - 1 - i), q)
-                 for k, c in enumerate(reach if j in self.generators else ()) for i in range(live)}
-        for i, g in self.generators.get(j, ()):
-            total = [fq.zero] * (hi - lo)
-            for coeff, factors in g:
-                term = [coeff] * (hi - lo)
-                for slot, e in factors:
-                    term = list(map(fq.mul, term, map(self.fq_powers[e].__getitem__, codes[slot])))
-                total = list(map(fq.add, total, term))
-            ys = list(map(gr.add, ys, [self.lift[i][self.fq_code[fq.reduce(v)]] for v in total]))
-        return list(map(gr.reduce, ys))
+        """Column j's values at the assignments lo..hi-1 of its reach, big-endian over its digit
+        positions (reach column, level), per span of the fewest last positions covering them (at
+        most two): the free value and generator terms as Kronecker sums and products."""
+        fq, q, live, reach = self.fq, self.q, self.live, self.reach[j]
+        places = len(reach) * live
+        top = max(k for k in range(places) if q ** (places - k) >= hi - lo)
+        free = {reach.index(j) * live + i: list(self.lift[i].values()) for i in range(live)}
+        times = operator.mul if fq.h == 1 else fq.mul  # h = 1: reduced once per generator
+        u = q ** (places - 1 - top)  # the entries of one digit string up to `top`
+        first, last, out = lo // u, (hi - 1) // u, []
+        for b in range(first // q, last // q + 1):
+            a, z = max(first, b * q), min(last, b * q + q - 1)  # the span's strings
+            steps = list(zip(range(places - 1, top, -1), repeat(range(q)))) + [
+                (top - i, range(a // q ** i % q, z // q ** i % q + 1)) for i in range(top, -1, -1)]
+            ys = _kronecker(free, steps, 0, operator.add)
+            for i, g in self.generators.get(j, ()):
+                total = reduce(partial(map, fq.add), [
+                    _kronecker({reach.index(s % self.n) * live + s // self.n: self.fq_powers[e]
+                                for s, e in factors}, steps, c, times) for c, factors in g])
+                ys = map(operator.add, ys, map(self.lift[i].__getitem__, map(fq.reduce, total)))
+            out += map(self.unpack, ys)
+        return out[lo - first * u:hi - first * u]
 
     def _power(self, j, e):
         """Column j's value to the e, by the big-endian index of its reach's values."""
         if (j, e) in self.powers:
             return self.powers[(j, e)]
         size, mul = self.Q ** len(self.reach[j]), self.gr.mul
+        to_the, by = (pow, self.gr.mod) if self.gr.h == 1 else (power, mul)  # C-level at h = 1
         if e == 1:
             entries = partial(self._values_at, j)
-        else:
-            # y^e is y^d * y^(e-d), for d the next lower power taken, if any
+        else:  # y^e is y^d * y^(e-d), for d the next lower power taken, if any
             values, d = self._power(j, 1), max((d for d in self.exponents[j] if d < e), default=0)
             below = self._power(j, d) if d else None
 
             def entries(lo, hi):
-                ys = [power(v, e - d, mul) for v in values(range(lo, hi))]
+                ys = list(map(to_the, values(range(lo, hi)), repeat(e - d), repeat(by)))
                 return ys if below is None else list(map(mul, below(range(lo, hi)), ys))
         self.powers[(j, e)] = _table(size, entries)
         return self.powers[(j, e)]
@@ -454,10 +455,9 @@ class _Kernel:
             return fixed, None
         if inner == 1:
             return fixed, range(0, moving[0] * self.Q, moving[0])
-        offsets = [0]
-        for stride in moving:
-            offsets = [o + stride * v for o in offsets for v in range(self.Q)]
-        return fixed, offsets
+        steps = zip(range(inner - 1, -1, -1), repeat(range(self.Q)))  # all Q digits, last first
+        return fixed, _kronecker({k: range(0, s * self.Q, s) for k, s in enumerate(moving) if s},
+                                 steps, 0, operator.add)
 
     @staticmethod
     def _read(table, place, outer, lo, hi):

@@ -70,11 +70,15 @@ def to_digits(y: GRElem):
 
 
 def from_digits(digits, params: GRParams) -> GRElem:
+    """sum tau(a_i) p^i, lifting each distinct nonzero digit once; tau(0) = 0."""
     if len(digits) != params.precision:
         raise ValidationError("digit vector length must equal the precision")
-    acc = gr_zero(params)
+    acc, lifts = gr_zero(params), {}
     for i, d in enumerate(digits):
-        acc = acc + teichmuller_lift(d, params) * int_to_gr(params.p ** i, params)
+        if any(d.coeffs):
+            if d not in lifts:
+                lifts[d] = teichmuller_lift(d, params)
+            acc = acc + lifts[d] * int_to_gr(params.p ** i, params)
     return acc
 
 

@@ -10,7 +10,9 @@ there instead of deciding each point; in a few of them several histograms
 are left, and each point is weighed by their convolution.
 
 `reference_row` is the list-based row, one int per point, that the kernel's
-packed rows (one int per row) are checked against row by row.
+packed rows (one int per row) are checked against row by row, and
+`reference_values` the per-point column values that its Kronecker-built column
+tables are checked against entry by entry.
 """
 
 import os
@@ -28,7 +30,8 @@ from wittbox.box import box_enumerate, box_make, box_variable_names
 from wittbox.counting import (
     _Kernel, _join, count_zeros, evaluate_point, make_instance, system_variable_names)
 from wittbox.errors import BudgetError
-from wittbox.fqfield import field_params, fq_enumerate
+from wittbox.fqfield import field_params, fq_enumerate, power
+from wittbox.galois import GRParams, teichmuller_lift
 from wittbox.instancefile import parse_instance
 from wittbox.poly import FieldDomain, MultiPoly, ZZ
 
@@ -491,6 +494,78 @@ def test_packed_rows_match_the_list_rows(p, h, monkeypatch):
         for parts in PARTITIONS:
             assert count_zeros(inst, partitions=parts).cardinality == expected, (inst, parts)
     assert True in rows and False in rows  # scaled core rows and rows split into points
+
+
+def reference_values(inst, kernel, j, lo, hi):
+    """Column j's values at the assignments lo..hi-1 of its reach, point by point: the
+    base-q digit of each (reach column, level) position read off the big-endian index,
+    the free digits' lifts summed, and each generator evaluated term by term with the
+    F_q product and lifted at its level.  The oracle of `_Kernel._values_at`."""
+    gr, fq, q, live, n = kernel.gr, kernel.fq, kernel.q, kernel.live, kernel.n
+    reach = kernel.reach[j]
+    field, places = inst.field, len(reach) * live
+    elements = [fq.element(a.coeffs) for a in fq_enumerate(field)]
+    taus = [teichmuller_lift(a, GRParams(field, inst.working_precision)).coeffs
+            for a in fq_enumerate(field)]
+
+    def lift(i, code):  # p^i * tau(a) for the element of digit code a
+        return gr.element([field.p ** i * c for c in taus[code]])
+    values = []
+    for index in range(lo, hi):
+        digits = [index // q ** (places - 1 - k) % q for k in range(places)]
+        code = {i * n + c: digits[k * live + i] for k, c in enumerate(reach) for i in range(live)}
+        y = reduce(gr.add, [lift(i, code[i * n + j]) for i in range(live)])
+        for i, g in kernel.generators.get(j, ()):
+            v = fq.element((0,) * field.h)
+            for coeff, factors in g:
+                term = coeff
+                for slot, e in factors:
+                    term = fq.mul(term, power(elements[code[slot]], e, fq.mul))
+                v = fq.add(v, term)
+            y = gr.add(y, lift(i, elements.index(fq.reduce(v))))
+        values.append(gr.reduce(y))
+    return values
+
+
+@pytest.mark.parametrize("caps", [None, (2, 8)])
+def test_power_tables_match_the_per_point_oracle(caps, monkeypatch):
+    # every column table the kernel builds, y^e for each power e the system takes
+    # of column j, equals the per-point oracle over the whole corpus: read as one
+    # run, at scattered indices, and (y^1) built over sub-ranges that start and end
+    # inside spans; with a cap of 2 entries and rows of 8 every table is computed
+    # in blocks as it is read
+    import wittbox.counting as counting
+
+    if caps:
+        monkeypatch.setattr(counting, "HISTOGRAM_CAP", caps[0])
+        monkeypatch.setattr(counting, "ROW", caps[1])
+    rng, covered = random.Random(f"values-{caps}"), set()
+    for p, h in sorted(FIELDS):
+        for inst in [inst for kind in KINDS + ("elimination",) for inst in corpus(p, h, kind)]:
+            kernel = _Kernel(inst)
+            # the packed lifts of a column value sum up to M' fields that never carry
+            top = inst.working_precision
+            assert top * inst.field.p ** top < 1 << kernel.width
+            for j, reach in kernel.reach.items():
+                size = kernel.Q ** len(reach)
+                ys = reference_values(inst, kernel, j, 0, size)
+                for e in sorted(kernel.exponents[j]):
+                    expected = [power(y, e, kernel.gr.mul) for y in ys]
+                    table = kernel._power(j, e)
+                    assert table(range(size)) == expected, (inst, j, e)
+                    picks = rng.sample(range(size), min(size, 20))
+                    assert table(picks) == [expected[k] for k in picks], (inst, j, e)
+                for _ in range(3):
+                    lo = rng.randrange(size)
+                    hi = rng.randint(lo + 1, size)
+                    assert kernel._values_at(j, lo, hi) == ys[lo:hi], (inst, j, lo, hi)
+                if j in kernel.generators:  # read below M' only, so M' > m
+                    assert inst.working_precision > inst.box.m
+                    width = {1: "own", inst.box.n: "all"}.get(len(reach), "some")
+                    covered.add((min(p, 3), min(h, 2), width))
+    # generators that read only their own column and ones that read all n >= 2
+    # columns, at p = 2 and odd p and at h = 1 and h >= 2
+    assert covered >= {(p, h, w) for p in (2, 3) for h in (1, 2) for w in ("own", "all")}
 
 
 DEEP = """[ring]\np = 3\nh = 2\n[problem]\nn = 2\nm = 1\n[system]

@@ -157,6 +157,32 @@ def test_to_digits_matches_level_by_level_reference():
             assert from_digits(digits, params) == y
 
 
+def reference_from_digits(digits, params):
+    """sum tau(a_i) p^i with every digit lifted, zero or not."""
+    acc = gr_zero(params)
+    for i, d in enumerate(digits):
+        acc = acc + teichmuller_lift(d, params) * int_to_gr(params.p ** i, params)
+    return acc
+
+
+def test_from_digits_matches_the_per_digit_sum():
+    # each distinct nonzero digit is lifted once and zero digits are skipped;
+    # the value is the sum over every digit
+    rng = random.Random(55)
+    for p, h, M in [(2, 1, 3), (3, 1, 7), (2, 2, 5), (3, 2, 40), (5, 3, 4), (2, 1, 200)]:
+        params = GRParams(field_params(p, h, _CUBIC.get((p, h))), M)
+        elements = fq_enumerate(params.field)
+        zero = elements[0]
+        vectors = [(zero,) * M, (elements[-1],) * M, (zero,) * (M - 1) + (elements[1],)]
+        vectors += [tuple(rng.choice(elements[:rng.randint(1, len(elements))]) for _ in range(M))
+                    for _ in range(6)]  # few distinct digits, so most repeat
+        for digits in vectors:
+            value = from_digits(digits, params)
+            assert value == reference_from_digits(digits, params)
+            assert to_digits(value) == digits
+        assert from_digits(vectors[0], params) == gr_zero(params)
+
+
 def test_from_digits_length_check():
     with pytest.raises(ValidationError):
         from_digits((fq(Z8.field, 1),), Z8)

@@ -2,7 +2,9 @@
 
 Every instance is past the 6,561 points of the teich-q9 benchmark box: a q = 9
 Teichmuller box at m = 3, a q = 25 box, a q = 7 box with three linked columns,
-and a q = 2 chain whose generators read the neighbouring columns.  Each is
+a q = 2 chain whose generators read the neighbouring columns, and two q = 2
+boxes whose generator g[2][1] reads every column: at n = 7 its table of 4^7
+values is held, at n = 9 its 4^9 values are computed in blocks.  Each is
 counted REPEATS times; the count and the points per second of the median call
 are printed, so two trees can be compared line by line.  Stdlib only; it
 imports wittbox from `--src` and writes nothing.
@@ -37,6 +39,17 @@ def _chain(n):
     return _text(2, 1, n, 2, [f"{f1} mod p^4", f"{f2} mod p^3"], box)
 
 
+def _wide(n):
+    """q = 2, m = 2: g[2][1] reads a digit of every column, so column 1's value
+    is a table over the whole box; g[2][2] is a second generator."""
+    f1 = " + ".join(f"{2 * j - 1}*x{j}" for j in range(1, n + 1)) + " + 1"
+    f2 = "x1*x2 + " + " + ".join(f"x{j}^2" for j in range(1, n + 1, 2))
+    g21 = " + ".join([f"x[1][1]*x[0][{n}]"] + [
+        f"x[0][{j}]*x[1][{j + 1}]" for j in range(1, n)] + ["1"])
+    box = [f"g[2][1] = {g21}", "g[2][2] = x[0][2]*x[1][2] + x[0][1]*x[1][3]"]
+    return _text(2, 1, n, 2, [f"{f1} mod p^3", f"{f2} mod p^3"], box)
+
+
 LADDER = [
     ("q9-m3", _text(3, 2, 2, 3, ["5*x1^3 + 19*x1*x2 + 26*x2^2 mod p^3",
                                  "2*x1^2 + 5*x1*x2 + 2*x2 mod p^2"])),
@@ -44,6 +57,8 @@ LADDER = [
     ("q7-n3", _text(7, 1, 3, 2, ["x1^2*x2 + 3*x2*x3 + 5*x3^2 + 2 mod p^3",
                                  "x1*x3 + 4*x2^2 + x1^3 mod p^2"])),
     ("q2-chain", _chain(8)),
+    ("q2-wide7", _wide(7)),
+    ("q2-wide9", _wide(9)),
 ]
 
 
