@@ -8,12 +8,11 @@ Bound-vs-count comparison is always done p-adically (does p^(h*value) divide
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .box import closeness_check
 from .counting import CountReport, ProblemInstance
 from .errors import BudgetError, ValidationError
-from .fqfield import power
+from .fqfield import _Record, power
 from .galois import GRParams, int_to_gr, to_digits
 
 READING_ALL = "all"  # degree case taken only when every degree exceeds 1
@@ -128,12 +127,12 @@ def minimal_d(inst: ProblemInstance, k: int) -> int:
     return need
 
 
-@dataclass
-class BoundEntry:
-    name: str
-    applicable: bool
-    value: int | None
-    notes: str = ""
+class BoundEntry(_Record):
+    __slots__ = _fields = ("name", "applicable", "value", "notes")
+    __hash__ = None  # mutable
+
+    def __init__(self, name: str, applicable: bool, value: int | None, notes: str = ""):
+        self.name, self.applicable, self.value, self.notes = name, applicable, value, notes
 
     def verdict(self, count: CountReport):
         """PASS/FAIL/VACUOUS of p^(h*value) | cardinality for this bound."""
@@ -145,10 +144,12 @@ class BoundEntry:
         return "PASS" if count.cardinality % modulus == 0 else "FAIL"
 
 
-@dataclass
-class BoundReport:
-    entries: list
-    count: CountReport | None = None
+class BoundReport(_Record):
+    __slots__ = _fields = ("entries", "count")
+    __hash__ = None  # mutable
+
+    def __init__(self, entries: list, count: CountReport | None = None):
+        self.entries, self.count = entries, count
 
     @property
     def status(self):

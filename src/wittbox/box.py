@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import attrgetter, is_, itemgetter, mul
 
 from .errors import BudgetError, ValidationError
-from .fqfield import FieldParams, GRElem, _prime_factors, fq_enumerate, from_index, polymul_mod, power
+from .fqfield import (
+    FieldParams, GRElem, _Frozen, _prime_factors, _set, fq_enumerate, from_index, polymul_mod, power)
 from .poly import FieldDomain, MultiPoly
 
 TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
@@ -33,12 +33,15 @@ def box_variable_names(n: int, m: int):
     return tuple(f"x[{i}][{j}]" for i in range(m) for j in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    field: FieldParams
-    n: int
-    m: int
-    generators: dict  # (i, j) -> reduced MultiPoly over F_q, i >= m only
+class BoxSpec(_Frozen):
+    __slots__ = _fields = ("field", "n", "m", "generators")
+    __hash__ = None  # generators is a dict
+
+    def __init__(self, field: FieldParams, n: int, m: int, generators: dict):
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "generators", generators)  # (i, j) -> reduced MultiPoly over F_q, i >= m only
 
     @property
     def variables(self):
@@ -81,10 +84,12 @@ def teichmuller_box(field: FieldParams, n: int, m: int) -> BoxSpec:
     return box_make(field, n, m, {})
 
 
-@dataclass(frozen=True)
-class BoxPoint:
-    base: tuple  # nm F_q elements, i-major then j
-    digits: tuple  # n tuples of M' F_q elements each
+class BoxPoint(_Frozen):
+    __slots__ = _fields = ("base", "digits")
+
+    def __init__(self, base: tuple, digits: tuple):
+        _set(self, "base", base)  # nm F_q elements, i-major then j
+        _set(self, "digits", digits)  # n tuples of M' F_q elements each
 
 
 def decode_base(spec: BoxSpec, index: int, elements=None):

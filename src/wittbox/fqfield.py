@@ -8,10 +8,49 @@ test; a silently reducible modulus would corrupt every downstream count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import attrgetter
 
 from .errors import BudgetError, ConfigError, ValidationError
+
+_set = object.__setattr__  # how a frozen record's __init__ sets its fields
+
+
+class _Record:
+    """Equality, hashing and repr over the attributes named in `_fields`, in
+    that order, as a dataclass gives them, but compiled once, not per class
+    at every import (see `poly`); subclasses write their `__init__`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # not on the `_Frozen` base
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record that refuses assignment; `__init__` sets fields with `_set`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 # Built-in irreducible moduli for the extension sizes used at desk scale.
 # Users may override any of these by passing an explicit modulus.
@@ -149,11 +188,13 @@ def _is_irreducible(modulus, p):
                for r in _prime_factors(h))
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    p: int
-    h: int
-    modulus: tuple  # ascending coefficients, length h+1, monic
+class FieldParams(_Frozen):
+    _fields = ("p", "h", "modulus")  # modulus: ascending coefficients, length h+1, monic
+
+    def __init__(self, p: int, h: int, modulus: tuple):
+        _set(self, "p", p)
+        _set(self, "h", h)
+        _set(self, "modulus", modulus)
 
     @property
     def q(self) -> int:
@@ -190,13 +231,13 @@ def field_params(p: int, h: int = 1, modulus=None) -> FieldParams:
     return FieldParams(p=p, h=h, modulus=modulus)
 
 
-@dataclass(frozen=True)
-class GRParams:
-    field: FieldParams
-    precision: int  # M >= 1
+class GRParams(_Frozen):
+    _fields = ("field", "precision")  # precision M >= 1
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(self, field: FieldParams, precision: int):
+        _set(self, "field", field)
+        _set(self, "precision", precision)
+        if precision < 1:
             raise ValidationError("precision must be >= 1")
 
     @property
@@ -213,12 +254,14 @@ class GRParams:
         return self.p ** self.precision
 
 
-@dataclass(frozen=True)
-class GRElem:
+class GRElem(_Frozen):
     """An element of GR(p^M, h) = (Z/p^M)[t]/(phi); F_q is the case M = 1."""
 
-    params: GRParams
-    coeffs: tuple  # length h, entries in [0, p^M - 1]
+    __slots__ = _fields = ("params", "coeffs")  # coeffs: length h, entries in [0, p^M - 1]
+
+    def __init__(self, params: GRParams, coeffs: tuple):
+        _set(self, "params", params)
+        _set(self, "coeffs", coeffs)
 
     def _check(self, other):
         if self.params is not other.params and self.params != other.params:

@@ -21,8 +21,9 @@ from .errors import ConfigError, ValidationError
 from .fqfield import FieldParams, GRElem, fq, gr_one, gr_zero, power
 
 
-# The coefficient domains are plain immutable-by-convention classes: a
-# dataclass would generate and compile its methods at every import.
+# The coefficient domains are plain immutable-by-convention classes, as is
+# every class in the package: a dataclass would generate and compile its
+# methods at every import.
 
 
 class IntegerDomain:

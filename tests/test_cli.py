@@ -326,6 +326,14 @@ HOSTILE_INPUTS = {
     "deep-generators": (_ONE_COLUMN + "f1 = x1^400 mod p^3\n[box]\n"
                         "g[1][1] = x[0][1]\ng[2][1] = x[0][1]\n", _both(EXIT_OK, _D_NOTE + "400\n")),
     "high-power": (_ONE_COLUMN + "f1 = x1^2000 mod p^2\n", _both(EXIT_OK, _D_NOTE + "2000\n")),
+    # the kernel took y^e as y^d * y^(e-d), d the power before e, recursing once
+    # per exponent: a RecursionError at 1,000 exponents, in either term order
+    **{name: (_ONE_COLUMN + f"f1 = {f} mod p^2\n",
+              {"count": (EXIT_OK, line), "verify": (EXIT_OK, line)})
+       for name, f, line in (
+           ("power-chain", "(x1 + 3)^1000", "cardinality=1\n"),
+           ("descending-powers", " + ".join(f"x1^{e}" for e in range(1000, 0, -1)),
+            "cardinality=2\n"))},
     "huge-power": (_ONE_COLUMN + f"f1 = x1^{2 ** 40} mod p^2\n", _both(EXIT_OK, _BUDGET_NOTE)),
     "wide-box": ("[ring]\np = 2\n[problem]\nn = 3\nm = 1\n[system]\n"
                  "f1 = x1^6*x2^6*x3^6 + x1 mod p^12\n[box]\n" + _WIDE_BOX

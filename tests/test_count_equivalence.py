@@ -27,12 +27,12 @@ import pytest
 
 import wittbox
 from wittbox.box import box_enumerate, box_make, box_variable_names
-from wittbox.counting import (
-    _Kernel, _join, count_zeros, evaluate_point, make_instance, system_variable_names)
+from wittbox.counting import count_zeros, evaluate_point, make_instance, system_variable_names
 from wittbox.errors import BudgetError
 from wittbox.fqfield import field_params, fq_enumerate, power
 from wittbox.galois import GRParams, teichmuller_lift
 from wittbox.instancefile import parse_instance
+from wittbox.kernel import _Kernel, _join
 from wittbox.poly import FieldDomain, MultiPoly, ZZ
 
 # (p, h) over every built-in modulus, with the largest nm whose box the
@@ -281,31 +281,63 @@ def test_tables_past_the_cap_keep_the_counts(p, h, monkeypatch):
     # with a cap of 2 entries and rows of 8 points, the kernel computes its
     # tables by blocks as they are read, splits free values into high and low
     # digits, and reads runs that cross blocks; the counts must not change
-    import wittbox.counting as counting
+    reads, tables = set(), wittbox.kernel._tables
 
-    reads, table = set(), counting._table
+    def spy(size, keys, entries):
+        readers = tables(size, keys, entries)
+        if size <= wittbox.kernel.HISTOGRAM_CAP:
+            return readers
 
-    def spy(size, entries):
-        read = table(size, entries)
-        if size <= counting.HISTOGRAM_CAP:
-            return read
-
-        def spied(indices):
-            reads.add(type(indices) is range and indices.step == 1)
-            return read(indices)
-        return spied
+        def spied(read):
+            def spied_read(indices):
+                reads.add(type(indices) is range and indices.step == 1)
+                return read(indices)
+            return spied_read
+        return {key: spied(read) for key, read in readers.items()}
 
     # the counts at the real cap, which test_count_matches_reference holds
     # to the reference on these corpora
     insts = [inst for kind in KINDS + ("elimination",) for inst in corpus(p, h, kind)]
     expected = [count_zeros(inst).cardinality for inst in insts]
-    monkeypatch.setattr(counting, "HISTOGRAM_CAP", 2)
-    monkeypatch.setattr(counting, "ROW", 8)
-    monkeypatch.setattr(counting, "_table", spy)
+    monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", 2)
+    monkeypatch.setattr(wittbox.kernel, "ROW", 8)
+    monkeypatch.setattr(wittbox.kernel, "_tables", spy)
     for inst, count in zip(insts, expected):
         for parts in PARTITIONS:
             assert count_zeros(inst, partitions=parts).cardinality == count, (inst, parts)
     assert reads == {True, False}  # runs and scattered indices both read blocks
+
+
+@pytest.mark.parametrize("caps", [None, (2, 8)])
+def test_long_power_chains_match_reference(caps, monkeypatch):
+    # (x1 + 3)^1000, and x1^1000 + ... + x1 typed in that order, take every power
+    # of x1 up to 1000; the chain of powers is built in one loop, for a held
+    # table and (at m = 2 with a cap of 2 entries) for one computed in blocks
+    if caps:
+        monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", caps[0])
+        monkeypatch.setattr(wittbox.kernel, "ROW", caps[1])
+    text = "[ring]\np = 2\n[problem]\nn = 1\nm = {m}\n[system]\nf1 = {f} mod p^2\n"
+    descending = " + ".join(f"x1^{e}" for e in range(1000, 0, -1))
+    for m in (1, 2):
+        for f in ("(x1 + 3)^1000", descending):
+            inst = parse_instance(text.format(m=m, f=f))
+            assert count_zeros(inst).cardinality == reference_count(inst), (m, f[:12])
+
+
+def test_rows_read_a_run_of_columns_as_one_range():
+    # a row whose moving columns are the table's columns in order reads one
+    # range, which a table past the cap slices; the offsets are the same as
+    # the Kronecker sum of the strides that any other order reads
+    kernel = _Kernel(parse_instance(
+        "[ring]\np = 3\n[problem]\nn = 3\nm = 1\n[system]\nf1 = x1*x2*x3 mod p^1\n"))
+    Q = kernel.Q
+    for scope, over, run in [((0, 1, 2), (0, 1, 2), True), ((0, 1, 2), (2, 0, 1), True),
+                             ((0, 1, 2), (0, 2, 1), False), ((0, 2), (0, 1, 2), False)]:
+        fixed, offsets = kernel._place(scope, over, 2)
+        strides = [Q ** (len(scope) - 1 - scope.index(c)) if c in scope else 0 for c in over]
+        assert fixed == strides[:1] and (type(offsets) is range) == run, (scope, over)
+        assert list(offsets) == [strides[1] * a + strides[2] * b
+                                 for a in range(Q) for b in range(Q)], (scope, over)
 
 
 def test_column_past_the_cap_counts_exactly():
@@ -351,8 +383,6 @@ def test_corpus_covers_the_cases():
 
 
 def test_elimination_corpus_covers_the_cases():
-    from wittbox.counting import _Kernel
-
     insts = [inst for p, h in FIELDS for inst in corpus(p, h, "elimination")]
     assert {inst.field.h for inst in insts} == {1, 2, 3}
     sides = {(mk > inst.box.m) - (mk < inst.box.m) for inst in insts for _, mk in inst.system}
@@ -376,8 +406,6 @@ def test_row_plans_cover_the_cases(monkeypatch):
     # the plans of cores enumerated in several rows, and of eliminations whose
     # rows fix their message's columns; test_count_matches_reference holds
     # the counts of this corpus to the reference
-    from wittbox.counting import _Kernel
-
     plans, seps = [], []
     plan, eliminate = _Kernel._plan, _Kernel._eliminate
 
@@ -534,11 +562,9 @@ def test_power_tables_match_the_per_point_oracle(caps, monkeypatch):
     # run, at scattered indices, and (y^1) built over sub-ranges that start and end
     # inside spans; with a cap of 2 entries and rows of 8 every table is computed
     # in blocks as it is read
-    import wittbox.counting as counting
-
     if caps:
-        monkeypatch.setattr(counting, "HISTOGRAM_CAP", caps[0])
-        monkeypatch.setattr(counting, "ROW", caps[1])
+        monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", caps[0])
+        monkeypatch.setattr(wittbox.kernel, "ROW", caps[1])
     rng, covered = random.Random(f"values-{caps}"), set()
     for p, h in sorted(FIELDS):
         for inst in [inst for kind in KINDS + ("elimination",) for inst in corpus(p, h, kind)]:

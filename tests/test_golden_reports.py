@@ -3,7 +3,9 @@
 The instances reach every branch of `bound_report`: the degree-sum bound
 (m = 1), the equal-moduli bound under both readings, the m = 1 closeness
 bound, the alternative single-polynomial note on the stacked bound, a
-violated closeness hypothesis, and the minimal-d budget refusal.
+violated closeness hypothesis, and the minimal-d budget refusal.  Two of
+them are sharpness witnesses: their ord_p |V| equals a bound, so a bound one
+higher FAILs them and one lower changes their report.
 """
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from wittbox import bounds
 from wittbox.bounds import bound_report
 from wittbox.cli import _emit_bounds, main
+from wittbox.counting import count_zeros
 from wittbox.fixtures import EXAMPLE_41, EXAMPLE_42, EXAMPLE_43
 from wittbox.instancefile import parse_instance
 
@@ -73,7 +76,36 @@ f2 = x1 + x2 mod p^1
 [box]
 g[1][1] = t*x[0][2] + 1
 """,
+    # m_1 = 1 < m = 2, effective degree 2: |V| = 48, ord_2 = 4 = stacked,
+    # where general = improved = 2
+    "stacked_witness": """\
+[ring]
+p = 2
+
+[problem]
+n = 3
+m = 2
+
+[system]
+f1 = 6*x1*x2 + 3*x2*x3 mod p^1
+""",
+    # all moduli = m = 3, degrees 3 and 1: |V| = 112, ord_2 = 4 = kmr
+    "kmr_witness": """\
+[ring]
+p = 2
+
+[problem]
+n = 4
+m = 3
+
+[system]
+f1 = x1^3 + x2^3 + x3^3 + 2*x4^3 mod p^3
+f2 = 3*x1 + 4*x2 + x4 mod p^3
+""",
 }
+
+# witness -> the bound its ord_p |V| attains (h = 1)
+WITNESSES = {"stacked_witness": "stacked", "kmr_witness": "kmr"}
 
 RUNS = {
     "bound-example41": ("example41", ["bound"]),
@@ -90,6 +122,8 @@ RUNS = {
     "verify-single_poly": ("single_poly", ["verify"]),
     "verify-f4_box": ("f4_box", ["verify", "--partitions", "3"]),
     "verify-budget": ("example41", ["verify", "--budget", "10"]),
+    "verify-stacked_witness": ("stacked_witness", ["verify"]),
+    "verify-kmr_witness": ("kmr_witness", ["verify"]),
 }
 
 EXPECTED = {
@@ -375,6 +409,56 @@ status=PASS
 error.kind=budget
 error.message=256 points exceed the enumeration budget 10
 """),
+    'verify-stacked_witness': (0, """\
+cardinality=48
+ord_p=4
+ord_q=4/1
+applicable.ax_katz=false
+note.ax_katz=needs m = 1 and all moduli 1
+applicable.kmr=false
+note.kmr=needs m >= 2 and all moduli = m; degree case read as 'any'
+applicable.cwg=false
+note.cwg=needs m = 1 and closeness; closeness(1) holds
+bound.general=2
+applicable.general=true
+note.general=closeness(1) holds
+bound.stacked=4
+applicable.stacked=true
+note.stacked=needs equal moduli <= m and closeness; closeness(1) holds
+bound.improved=2
+applicable.improved=true
+note.improved=per-term degree condition satisfied by construction; d=2
+verdict.general=PASS
+verdict.stacked=PASS
+verdict.improved=PASS
+status=PASS
+"""),
+    'verify-kmr_witness': (0, """\
+cardinality=112
+ord_p=4
+ord_q=4/1
+applicable.ax_katz=false
+note.ax_katz=needs m = 1 and all moduli 1
+bound.kmr=4
+applicable.kmr=true
+note.kmr=needs m >= 2 and all moduli = m; degree case read as 'any'
+applicable.cwg=false
+note.cwg=needs m = 1 and closeness; closeness(3) holds
+bound.general=0
+applicable.general=true
+note.general=closeness(3) holds
+bound.stacked=4
+applicable.stacked=true
+note.stacked=needs equal moduli <= m and closeness; closeness(3) holds
+bound.improved=0
+applicable.improved=true
+note.improved=per-term degree condition satisfied by construction; d=3,1
+verdict.kmr=PASS
+verdict.general=PASS
+verdict.stacked=PASS
+verdict.improved=PASS
+status=PASS
+"""),
 }
 
 BUDGET_EXCEEDED = """\
@@ -407,3 +491,11 @@ def test_minimal_d_budget_exceeded(capsys, monkeypatch):
     monkeypatch.setattr(bounds, "D_BUDGET", 2)
     _emit_bounds(bound_report(parse_instance(EXAMPLE_41)))
     assert capsys.readouterr().out == BUDGET_EXCEEDED
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_sharpness_witnesses_attain_their_bound(name):
+    inst = parse_instance(INSTANCES[name])
+    count = count_zeros(inst)
+    values = {e.name: e.value for e in bound_report(inst, count).entries if e.applicable}
+    assert count.ord_p == values[WITNESSES[name]] == 4

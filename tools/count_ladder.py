@@ -6,8 +6,9 @@ a q = 2 chain whose generators read the neighbouring columns, and two q = 2
 boxes whose generator g[2][1] reads every column: at n = 7 its table of 4^7
 values is held, at n = 9 its 4^9 values are computed in blocks.  Each is
 counted REPEATS times; the count and the points per second of the median call
-are printed, so two trees can be compared line by line.  Stdlib only; it
-imports wittbox from `--src` and writes nothing.
+are printed, so two trees can be compared line by line; the first call also
+compiles the counting kernel (`wittbox.kernel`), which the median leaves out.
+Stdlib only; it imports wittbox from `--src` and writes nothing.
 
     python3 tools/count_ladder.py [--src DIR]
 """
