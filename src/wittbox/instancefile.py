@@ -46,6 +46,10 @@ MAX_EXPONENT_SLOTS = 1 << 24
 # A [problem] with more free digit variables x[i][j] than this is refused
 # before their names are built: n*m = 2^22 names take about 6 s and 0.6 GB.
 MAX_DIGIT_VARIABLES = 1 << 20
+# A `^` or `*` over Z whose coefficients could pass this many bits in all
+# (terms times bits per coefficient) is refused before it is computed:
+# `x1 + 3^100000000` ran past 20 s.  (x1 + 3)^1000 comes to about 2.0M bits.
+MAX_COEFFICIENT_BITS = 1 << 22
 # A `mod p^e` past this exponent is refused before p^e is formed: e = 10^30
 # ran out of memory, and e = 10^7 ran past 20 s in big-integer work.
 MAX_MODULUS_EXPONENT = 1 << 18
@@ -108,6 +112,23 @@ class _ExprParser:
             raise BudgetError(f"{what} could need more than {MAX_EXPONENT_SLOTS} exponent "
                               f"slots ({len(self.variables)} per term)", self.line)
 
+    def _refuse_product(self, what, factors):
+        """Refuse the product of the f^e over (f, e) in `factors` before it is
+        computed: past MAX_POWER_TERMS terms or MAX_EXPONENT_SLOTS slots, or,
+        over Z, past MAX_COEFFICIENT_BITS bits of coefficients in all.
+
+        A coefficient of the product is at most the product of the L1 norms
+        |f|^e in size, so it takes at most sum e * ceil(log2 |f|) bits, and a
+        power of a monomial of coefficient +-1 takes none.
+        """
+        terms = _terms_bound(factors)
+        self._refuse(what, terms, MAX_POWER_TERMS)
+        if self.domain is ZZ and terms * sum(
+                e * max(sum(map(abs, f.terms.values())) - 1, 0).bit_length()
+                for f, e in factors) > MAX_COEFFICIENT_BITS:
+            raise BudgetError(f"{what} could produce more than {MAX_COEFFICIENT_BITS} bits of "
+                              "coefficients", self.line)
+
     def parse(self, text, line=None) -> MultiPoly:
         self.tokens, self.i, self.line = _tokenize(text, line), 0, line
         used = sorted({self.index[val] for _, val in self.tokens if val in self.index})
@@ -141,8 +162,7 @@ class _ExprParser:
         while self._peek() == ("op", "*"):
             self._next()
             rhs = self._factor()
-            self._refuse("multiplying with `*`", _terms_bound([(poly, 1), (rhs, 1)]),
-                         MAX_POWER_TERMS)
+            self._refuse_product("multiplying with `*`", [(poly, 1), (rhs, 1)])
             poly = poly * rhs
         return poly
 
@@ -157,7 +177,7 @@ class _ExprParser:
             if ekind != "int":
                 self._fail("exponent must be an integer literal")
             e = _int(self.line, eval_)
-            self._refuse(f"expanding `^{e}`", _terms_bound([(poly, e)]), MAX_POWER_TERMS)
+            self._refuse_product(f"expanding `^{e}`", [(poly, e)])
             poly = poly ** e
         return poly
 
@@ -212,13 +232,15 @@ def parse_poly(text, domain, variables, line=None) -> MultiPoly:
     return _ExprParser(domain, variables).parse(text, line)
 
 
-def _parse_modulus(text, p, line):
-    """A monic polynomial in t over F_p, given as e.g. `t^2+t+1`."""
+def _parse_modulus(text, p, h, line):
+    """A monic polynomial in t over F_p, given as e.g. `t^2+t+1`, as its
+    coefficients up to t^(h+1) at most: one of higher degree is no modulus of
+    degree h either way, and `t^100000000000` would not fit in memory."""
     poly = parse_poly(text, ZZ, ("t",), line=line)
-    degree = poly.total_degree()
-    coeffs = [0] * (degree + 1)
+    coeffs = [0] * (min(poly.total_degree(), h + 1) + 1)
     for (e,), c in poly.tuple_terms().items():
-        coeffs[e] = c % p
+        if e < len(coeffs):
+            coeffs[e] = c % p
     return tuple(coeffs)
 
 
@@ -292,7 +314,7 @@ def parse_instance(text: str) -> ProblemInstance:
     modulus = None
     if "modulus" in ring:
         lineno, value = ring["modulus"]
-        modulus = _parse_modulus(value, p, lineno)
+        modulus = _parse_modulus(value, p, h, lineno)
     field = field_params(p, h, modulus)
 
     problem = _section_keys(sections["problem"], {"n", "m"}, "problem")

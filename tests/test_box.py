@@ -257,11 +257,11 @@ def test_box_from_table_validation():
 
 
 def _interp_ladder():
-    path = Path(__file__).resolve().parents[1] / "tools" / "interp_ladder.py"
-    spec = importlib.util.spec_from_file_location("interp_ladder", path)
+    path = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LADDER
+    return module.SHAPES
 
 
 def test_transform_budget_refuses_before_any_row_is_read():
@@ -275,7 +275,7 @@ def test_transform_budget_refuses_before_any_row_is_read():
         assert type(info.value) is BudgetError and str(info.value) == (
             f"interpolating {p} rows takes {work} multiply-adds, past the budget 67108864")
     # accepted up to the budget: q = 8191 at n = m = 1 (67,092,481), the
-    # largest q = 2 table (nm = 20), every shape of tools/interp_ladder.py and
+    # largest q = 2 table (nm = 20), every table shape of tools/ab.py and
     # every table the tests build; an empty table then fails the row count
     shapes = [(8191, 1, 1), (2, 20, 1)] + _interp_ladder()
     for q, n, m in shapes:

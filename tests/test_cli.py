@@ -352,6 +352,11 @@ HOSTILE_INPUTS = {
     # Rabin's test is cubic in h: a modulus of degree 1000 ran past 60 s,
     # and degree 127 is still tested
     "deep-extension": (_EXTENSION.format(h=1000) + "f1 = x1 mod p^1\n", _both(EXIT_BUDGET, _REFUSED)),
+    # the modulus's coefficient list was built to its degree: MemoryError here,
+    # and 1.5 s for t^30000000
+    "huge-modulus-degree": (_EXTENSION.format(h=2).replace("t^2 + t + 1", "t^100000000000 + 1")
+                            + "f1 = x1 mod p^1\n", dict.fromkeys(("count", "bound", "verify"), (
+                                EXIT_VALIDATION, "error.message=modulus must be monic of degree exactly h\n"))),
     "extension-127": (_EXTENSION.format(h=127) + "f1 = x1 mod p^1\n",
                       {"bound": (EXIT_OK, "applicable.ax_katz=true\n")}),
     # 2^24 - 3 points are within the budget, but the kernel built objects per
@@ -393,6 +398,13 @@ HOSTILE_INPUTS = {
     # d = 10^6000 / 2^299 has about 5900 digits
     "long-d": (_ONE_COLUMN + f"f1 = 2^299*(x1^{10 ** 3000})^{10 ** 3000} mod p^300\n",
                _both(EXIT_OK, _BUDGET_NOTE)),
+    # integer coefficients grew unbounded: both ran past 16 s
+    **{name: (_ONE_COLUMN.replace("n = 1", "n = 2") + f"f1 = {f} mod p^2\n",
+              dict.fromkeys(("count", "bound", "verify"), (EXIT_BUDGET, (
+                  f"error.message=line 7: expanding `^{e}` could produce more than 4194304 bits of "
+                  "coefficients\n"))))
+       for name, f, e in (("constant-power", "x1 + 3^100000000", 100000000),
+                          ("coefficient-growth", "((407825420567791)^143 + x2)^100", 100))},
     # each level of nesting was a Python call: 250 parentheses or 1000 unary
     # minus signs exited 1 with a RecursionError traceback
     **{f"nested-{what}": (text, dict.fromkeys(("count", "bound", "verify"), (

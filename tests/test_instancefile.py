@@ -90,6 +90,10 @@ f1 = x1 mod p^1
     # reducible modulus must be rejected by field validation
     with pytest.raises(ValidationError):
         parse_instance(text.replace("t^2 + 1", "t^2 + 2*t + 1"))
+    # one of higher degree is refused as before, without a list as long as its degree
+    for modulus in ("t^3 + 1", "t^100000000000 + t^2 + 1"):
+        with pytest.raises(ValidationError, match="^modulus must be monic of degree exactly h$"):
+            parse_instance(text.replace("t^2 + 1", modulus))
 
 
 def test_error_line_numbers():
@@ -222,6 +226,27 @@ def test_deep_modulus_is_refused_before_p_to_the_e():
     for e in (2 ** 18 + 1, 10 ** 7, 10 ** 30):
         with pytest.raises(BudgetError, match="^line 9: a modulus exponent above 262144"):
             parse_instance(MINIMAL.replace("p^1", f"p^{e}"))
+
+
+def test_coefficient_bits_are_capped_before_a_product_over_z():
+    from wittbox.errors import BudgetError
+    from wittbox.instancefile import MAX_COEFFICIENT_BITS
+
+    assert MAX_COEFFICIENT_BITS == 2 ** 22
+    names = ("x1", "x2")
+    # terms times the sum of e * ceil(log2 |f|_1) over the factors f^e
+    cap = 2 ** 22
+    assert list(parse_poly(f"2^{cap}", ZZ, names).terms.values()) == [2 ** cap]
+    assert list(parse_poly(f"2 * 2^{cap - 1}", ZZ, names).terms.values()) == [2 ** cap]
+    assert len(parse_poly("(x1 + 3)^1000", ZZ, names).terms) == 1001  # 2,002,000 bits
+    # a monomial of coefficient +-1 costs none, whatever its exponent
+    assert parse_poly(f"(-x1*x2)^{2 ** 40}", ZZ, names).total_degree() == 2 ** 41
+    for what, text in ((f"expanding `^{cap + 1}`", f"x1 + 2^{cap + 1}"),
+                       ("multiplying with `*`", f"3 * 2^{cap - 1}"),
+                       ("expanding `^100`", "((407825420567791)^143 + x2)^100")):
+        with pytest.raises(BudgetError) as err:
+            parse_poly(text, ZZ, names, line=3)
+        assert str(err.value) == f"line 3: {what} could produce more than {cap} bits of coefficients"
 
 
 def test_exponent_slots_are_capped_before_a_polynomial_is_built():

@@ -1,7 +1,9 @@
 """Print the exit code and stdout SHA-256 of a fixed corpus of CLI runs.
 
 Run from the root of a checkout; wittbox is imported from its `src/` and the
-benchmark's instance generator from `bench/workloads.py`, which is only read:
+benchmark's instance generator from `bench/workloads.py`, which is only read.
+Importing the module imports no wittbox, so `tools/ab.py` runs the corpus on
+two trees:
 
     python3 tools/cli_corpus.py > corpus.txt
 
@@ -29,17 +31,17 @@ import contextlib
 import hashlib
 import io
 import random
+import runpy
 import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from wittbox import cli  # noqa: E402
-from wittbox.fixtures import PAPER_EXAMPLES  # noqa: E402
+PAPER_EXAMPLES = runpy.run_path(str(ROOT / "src" / "wittbox" / "fixtures.py"))["PAPER_EXAMPLES"]
 
 INSTANCE_ARGS = (("count",), ("count", "--partitions", "3"), ("count", "--budget", "10"),
                  ("bound", "--reading", "any"), ("bound", "--reading", "all"), ("verify",))
@@ -115,13 +117,21 @@ def runs(workdir):
         yield argv, argv
 
 
+def run(main, argv):
+    """(exit code, stdout) of one in-process call of a tree's `cli.main`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    from wittbox import cli
     with tempfile.TemporaryDirectory() as tmp:
         for shown, argv in runs(Path(tmp)):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(argv)
-            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            code, out = run(cli.main, argv)
+            digest = hashlib.sha256(out.encode()).hexdigest()
             print(f"{' '.join(shown)} exit={code} sha256={digest}", flush=True)
 
 
