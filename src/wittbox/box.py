@@ -17,7 +17,7 @@ from operator import attrgetter, is_, itemgetter, mul
 
 from .errors import BudgetError, ValidationError
 from .fqfield import (
-    FieldParams, GRElem, _Frozen, _prime_factors, _set, fq_enumerate, from_index, polymul_mod, power)
+    FieldParams, GRElem, _Frozen, _prime_factors, _set, fq_enumerate, polymul_mod, power)
 from .poly import FieldDomain, MultiPoly
 
 TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
@@ -92,16 +92,15 @@ class BoxPoint(_Frozen):
         _set(self, "digits", digits)  # n tuples of M' F_q elements each
 
 
-def decode_base(spec: BoxSpec, index: int, elements=None):
+def decode_base(spec: BoxSpec, index: int, elements):
     """Base point for a base-space index (big-endian base-q over flattened digits);
     `elements`, as `fq_enumerate` lists them, are shared by points and digits."""
     q = spec.field.q
     codes = [index // q ** k % q for k in reversed(range(spec.n * spec.m))]
-    element = elements.__getitem__ if elements else partial(from_index, spec.field.ring)
-    return tuple(map(element, codes))
+    return tuple(map(elements.__getitem__, codes))
 
 
-def expand_point(spec: BoxSpec, base, precision: int, elements=None) -> BoxPoint:
+def expand_point(spec: BoxSpec, base, precision: int, elements) -> BoxPoint:
     names = spec.variables
     assignment = dict(zip(names, base))
     digits = []
@@ -112,7 +111,7 @@ def expand_point(spec: BoxSpec, base, precision: int, elements=None) -> BoxPoint
                 col.append(base[i * spec.n + (j - 1)])
             else:
                 value = spec.generator(i, j).evaluate(assignment)
-                col.append(elements[value.to_index()] if elements else value)
+                col.append(elements[value.to_index()])
         digits.append(tuple(col))
     return BoxPoint(base=tuple(base), digits=tuple(digits))
 

@@ -232,15 +232,15 @@ def parse_poly(text, domain, variables, line=None) -> MultiPoly:
     return _ExprParser(domain, variables).parse(text, line)
 
 
-def _parse_modulus(text, p, h, line):
-    """A monic polynomial in t over F_p, given as e.g. `t^2+t+1`, as its
-    coefficients up to t^(h+1) at most: one of higher degree is no modulus of
-    degree h either way, and `t^100000000000` would not fit in memory."""
+def _parse_modulus(text, h, line):
+    """A monic polynomial in t, given as e.g. `t^2+t+1`, as its integer coefficients up to
+    t^(h+1) at most, which `field_params` reduces once it has checked p: one of higher
+    degree is no modulus of degree h either way, and `t^100000000000` would not fit in memory."""
     poly = parse_poly(text, ZZ, ("t",), line=line)
     coeffs = [0] * (min(poly.total_degree(), h + 1) + 1)
     for (e,), c in poly.tuple_terms().items():
         if e < len(coeffs):
-            coeffs[e] = c % p
+            coeffs[e] = c
     return tuple(coeffs)
 
 
@@ -314,7 +314,7 @@ def parse_instance(text: str) -> ProblemInstance:
     modulus = None
     if "modulus" in ring:
         lineno, value = ring["modulus"]
-        modulus = _parse_modulus(value, p, h, lineno)
+        modulus = _parse_modulus(value, h, lineno)
     field = field_params(p, h, modulus)
 
     problem = _section_keys(sections["problem"], {"n", "m"}, "problem")

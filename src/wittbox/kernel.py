@@ -139,12 +139,13 @@ class _Kernel:
     or would cost more than enumerating the columns left, the core, in rows
     over its `inner` last columns.
 
-    A row of the core fixes all its columns but the `inner` last ones, and a row
-    of an elimination fixes the columns of its message; it is one int, its points
-    side by side (`_join`).  Its plan splits the monomials once: one that reads only
-    fixed columns is one scalar per row; those that read only moving columns sum to
-    one row per plan; a mixed one is its fixed factors times its multiplier times the
-    rows of its moving factor.  A core without messages counts from low bits (`_zeros`).
+    A row of the core fixes all its columns but the `inner` last ones; an
+    elimination is one row over all its points, every column moving, the column
+    summed out last.  A row is one int, its points side by side (`_join`).  Its plan
+    splits the monomials once: one that reads only fixed columns is one scalar per
+    row; those that read only moving columns sum to one row per plan; a mixed one is
+    its fixed factors times its multiplier times the rows of its moving factor.  A
+    core without messages counts from low bits (`_zeros`).
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -346,17 +347,14 @@ class _Kernel:
         inbox = [(sep, table) for sep, table, _ in messages if j in sep]
         sep = tuple(sorted(set().union(*(s for s in scopes if j in s), *(s for s, _ in inbox))
                            - {j}))
-        over = sep + (j,)
-        plan = self._plan([t for s in scopes if j in s for t in self.factors[s]], over, 1)
-        hists = [(_held(table), self._place(s, over, 1)) for s, table in inbox]
-        out = []
-        for outer in product(range(Q), repeat=len(sep)):
-            found = [self._read(table, place, outer, 0, Q) for table, place in hists]
-            message = {}
-            for r, *hs in zip(self._split(self._row(plan, outer, 0, Q, 0), Q), *found):
-                for key, x in _product(hs, reduce(r), reduce).items():
-                    message[key] = message.get(key, 0) + x
-            out.append(message)
+        over, size = sep + (j,), Q ** (len(sep) + 1)  # j last: an assignment's Q points in a row
+        plan = self._plan([t for s in scopes if j in s for t in self.factors[s]], over, len(over))
+        found = [self._read(_held(table), self._place(s, over, len(over)), (), 0, size)
+                 for s, table in inbox]
+        out, row = [{} for _ in range(size // Q)], self._row(plan, (), 0, size, 0)
+        for i, (r, *hs) in enumerate(zip(self._split(row, size), *found)):
+            for key, x in _product(hs, reduce(r), reduce).items():
+                out[i // Q][key] = out[i // Q].get(key, 0) + x
         scopes[:] = [s for s in scopes if j not in s]
         messages[:] = [msg for msg in messages if j not in msg[0]]
         return sep, out
@@ -368,8 +366,7 @@ class _Kernel:
         fixed, moving = strides[:len(over) - inner], strides[len(over) - inner:]
         if not any(moving):
             return fixed, None
-        if inner == 1 or all(s == moving[-1] * self.Q ** k
-                             for k, s in enumerate(reversed(moving))):
+        if all(s == moving[-1] * self.Q ** k for k, s in enumerate(reversed(moving))):
             return fixed, range(0, moving[0] * self.Q, moving[-1])  # the scope's columns in order
         steps = zip(range(inner - 1, -1, -1), repeat(range(self.Q)))  # all Q digits, last first
         return fixed, _kronecker({k: range(0, s * self.Q, s) for k, s in enumerate(moving) if s},

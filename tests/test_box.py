@@ -66,7 +66,7 @@ def test_base_size_and_decode():
     spec = teichmuller_box(F4, 1, 2)
     assert spec.base_size() == 16
     # big-endian base-q: index 6 = 1*4 + 2 -> (fq index 1, fq index 2)
-    base = decode_base(spec, 6)
+    base = decode_base(spec, 6, fq_enumerate(F4))
     assert [a.to_index() for a in base] == [1, 2]
 
 
@@ -74,7 +74,7 @@ def test_expand_point_contract():
     g = var(F2, 1, 1, "x[0][1]")
     spec = box_make(F2, 1, 1, {(2, 1): g})
     one = fq(F2, 1)
-    pt = expand_point(spec, (one,), 3)
+    pt = expand_point(spec, (one,), 3, fq_enumerate(F2))
     # digit 0 is the base; digit 1 has no generator (zero); digit 2 is g(base)
     assert pt.digits[0][0] == one
     assert pt.digits[0][1].is_zero()
@@ -293,8 +293,10 @@ def test_enumerated_points_share_the_field_elements():
     points = list(box_enumerate(spec, 3))
     digits = [d for pt in points for d in pt.base + sum(pt.digits, ())]
     assert len(digits) == 16 * 8 and len({id(d) for d in digits}) == 4
-    # the points are those expand_point builds on its own
-    assert points == [expand_point(spec, decode_base(spec, k), 3) for k in range(16)]
+    # the points are those decode_base and expand_point build from those elements
+    elements = fq_enumerate(F4)
+    assert points == [expand_point(spec, decode_base(spec, k, elements), 3, elements)
+                      for k in range(16)]
 
 
 def test_fields_never_carry_under_the_table_budget():

@@ -357,6 +357,14 @@ HOSTILE_INPUTS = {
     "huge-modulus-degree": (_EXTENSION.format(h=2).replace("t^2 + t + 1", "t^100000000000 + 1")
                             + "f1 = x1 mod p^1\n", dict.fromkeys(("count", "bound", "verify"), (
                                 EXIT_VALIDATION, "error.message=modulus must be monic of degree exactly h\n"))),
+    # the modulus was reduced mod p before p was checked: a ZeroDivisionError
+    "zero-characteristic": (_EXTENSION.format(h=2).replace("p = 2", "p = 0") + "f1 = x1 mod p^1\n",
+                            dict.fromkeys(("count", "bound", "verify"), (
+                                EXIT_VALIDATION, "error.message=p=0 is not prime\n"))),
+    "no-built-in-modulus": (_ONE_COLUMN.replace("p = 2\n", "p = 3\nh = 3\n") + "f1 = x1 mod p^1\n",
+                            dict.fromkeys(("count", "bound", "verify"), (
+                                EXIT_VALIDATION, "error.kind=config\n"
+                                "error.message=no built-in modulus for (p,h)=(3,3); supply one\n"))),
     "extension-127": (_EXTENSION.format(h=127) + "f1 = x1 mod p^1\n",
                       {"bound": (EXIT_OK, "applicable.ax_katz=true\n")}),
     # 2^24 - 3 points are within the budget, but the kernel built objects per

@@ -403,9 +403,9 @@ def test_elimination_corpus_covers_the_cases():
 
 
 def test_row_plans_cover_the_cases(monkeypatch):
-    # the plans of cores enumerated in several rows, and of eliminations whose
-    # rows fix their message's columns; test_count_matches_reference holds
-    # the counts of this corpus to the reference
+    # the plans of cores enumerated in several rows, and of eliminations, whose
+    # one row moves every column; test_count_matches_reference holds the
+    # counts of this corpus to the reference
     plans, seps = [], []
     plan, eliminate = _Kernel._plan, _Kernel._eliminate
 
@@ -430,9 +430,45 @@ def test_row_plans_cover_the_cases(monkeypatch):
 
     def moves(k, i, moving):
         return bool(moving.intersection(k.reach[i]))
-    # a mixed monomial whose last factor, the one read packed, is fixed on the row
+    # a mixed monomial whose last factor, the one read packed, is fixed on the
+    # row: in rows of 8 points the core (0, 1, 2) moves column 2 alone, which
+    # the reach (0, 2) of x1 reads and that of x2 does not
+    monkeypatch.setattr(wittbox.kernel, "ROW", 8)
+    inst = parse_instance("[ring]\np = 2\nh = 2\n[problem]\nn = 3\nm = 2\n[system]\n"
+                          "f1 = x1*x2 + 3*x3^2 + x2*x3 + 1 mod p^3\n[box]\n"
+                          "g[2][1] = x[0][3]*x[1][3]\n")
+    assert count_zeros(inst).cardinality == reference_count(inst) == 71
     assert any(not moves(k, mono[-1][0], moving) and any(moves(k, i, moving) for i, _ in mono)
                for k, monomials, moving in plans for mono, _ in monomials)
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+def test_an_elimination_is_one_row(cap, monkeypatch):
+    # an elimination reads, weighs and splits all its points in one row, not a
+    # row of Q points per assignment of its message's columns; _next_column
+    # keeps that row within HISTOGRAM_CAP points, and the counts do not change
+    insts = [inst for p, h in FIELDS for inst in corpus(p, h, "elimination")]
+    expected = [count_zeros(inst).cardinality for inst in insts]
+    if cap:
+        monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", cap)
+    rows, split, eliminate = [], _Kernel._split, _Kernel._eliminate
+
+    def spy_split(self, row, n):
+        rows[-1].append(n)
+        return split(self, row, n)
+
+    def spy_eliminate(self, j, scopes, messages):
+        rows.append([self.Q])
+        return eliminate(self, j, scopes, messages)
+
+    monkeypatch.setattr(_Kernel, "_split", spy_split)
+    monkeypatch.setattr(_Kernel, "_eliminate", spy_eliminate)
+    kernels = [_Kernel(inst) for inst in insts]  # a kernel splits rows only to eliminate
+    assert all(len(row) == 2 for row in rows)
+    assert all(n <= wittbox.kernel.HISTOGRAM_CAP for _, n in rows)
+    assert any(n > Q for Q, n in rows)
+    monkeypatch.setattr(_Kernel, "_split", split)
+    assert [k.factor * k.count(0, k.size) for k in kernels] == expected
 
 
 def test_large_exponents_match_reference():

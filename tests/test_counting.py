@@ -63,10 +63,10 @@ def test_evaluate_point_oracle():
     box = teichmuller_box(F2, 2, 3)
     inst = make_instance(box, [(lin(2, [1, 3]), 3)])
     from wittbox.box import expand_point
-    from wittbox.fqfield import fq
+    from wittbox.fqfield import fq, fq_enumerate
 
     one = fq(F2, 1)
-    pt = expand_point(box, (one, one) + (fq(F2, 0),) * 4, 3)
+    pt = expand_point(box, (one, one) + (fq(F2, 0),) * 4, 3, fq_enumerate(F2))
     (residue,) = evaluate_point(inst, pt)
     assert residue == int_to_gr(4, GRParams(F2, 3))
 

@@ -10,6 +10,9 @@ and stdout through both trees' `cli.main`, or the run is named on stderr, with
 exit 1.  Then each rung of the counts (LADDER), the interpolations (SHAPES) and
 the set-up probes is timed in N pairs of calls (default 10), and summed up in
 one JSON report on stdout, with the lines of every module of each tree.
+Verdicts on sub-millisecond rungs (the per-module `compile_ms` and `body_ms`)
+are indicative only, since their spread is near the clock's noise floor; a
+claim rests on rungs of a millisecond or more.
 """
 
 import argparse
