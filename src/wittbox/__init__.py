@@ -1,5 +1,5 @@
 """Exact arithmetic in truncated Witt rings and Galois rings, Teichmuller
-boxes, brute-force zero counting over Z_q^n, and p-divisibility bounds."""
+boxes, exact zero counting over Z_q^n, and p-divisibility bounds."""
 
 from .bounds import (
     BoundReport,
@@ -20,7 +20,7 @@ from .box import (
     closeness_check,
     teichmuller_box,
 )
-from .counting import CountReport, ProblemInstance, count_zeros, evaluate_point, make_instance
+from .counting import CountReport, ProblemInstance, count_zeros, make_instance
 from .errors import (
     BudgetError,
     ConfigError,

@@ -2,10 +2,9 @@
 
 `count_zeros` counts through the plain-integer kernel of `wittbox.kernel`,
 which it imports on its first call, after its refusals: a process that never
-counts never compiles it.  Nothing is sampled.  `evaluate_point` over
-`box_enumerate` is the object-level brute-force reference the kernel is
-tested against.  The symbolic Teichmuller expansion is deliberately not
-used, so the count stays an independent oracle for everything derived from it.
+counts never compiles it.  Nothing is sampled.  The symbolic Teichmuller
+expansion is deliberately not used, so the count stays an independent oracle
+for everything derived from it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from functools import lru_cache
 from .box import BoxSpec
 from .errors import BudgetError, ValidationError, decimal
 from .fqfield import _Frozen, _set
-from .galois import GRParams, from_digits, int_to_gr, reduce_precision
 from .poly import IntegerDomain, MultiPoly
 
 DEFAULT_BUDGET = 1 << 24
@@ -42,11 +40,6 @@ class ProblemInstance(_Frozen):
     @property
     def working_precision(self) -> int:
         return max(mk for _, mk in self.system)
-
-    @property
-    def enumeration_precision(self) -> int:
-        # digits up to max(m, M') are needed to evaluate all residues
-        return max(self.working_precision, self.box.m)
 
     @property
     def moduli(self):
@@ -94,20 +87,6 @@ class CountReport(_Frozen):
             c //= self.p
             v += 1
         return v
-
-
-def evaluate_point(inst: ProblemInstance, pt):
-    """Residues f_k(Y) in GR(p^{m_k}, h), computed once at working precision."""
-    params = GRParams(inst.field, inst.enumeration_precision)
-    ys = {
-        name: from_digits(pt.digits[j], params)
-        for j, name in enumerate(system_variable_names(inst.box.n))
-    }
-    out = []
-    for f, mk in inst.system:
-        value = f.evaluate(ys, coerce=lambda c: int_to_gr(c, params))
-        out.append(reduce_precision(value, mk))
-    return out
 
 
 def count_zeros(inst: ProblemInstance, budget: int = DEFAULT_BUDGET,

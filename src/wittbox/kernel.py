@@ -53,9 +53,8 @@ class _IntRing:
 
 
 def _compile(poly, coerce):
-    """`poly` as [(coefficient, [(variable slot, exponent), ...]), ...]."""
-    return [(coerce(c), [(slot, e) for slot, e in enumerate(exps) if e])
-            for exps, c in poly.tuple_terms().items()]
+    """`poly` as [(coefficient, ((variable slot, exponent), ...)), ...]."""
+    return [(coerce(c), factors) for factors, c in poly.sparse_terms()]
 
 
 def _kronecker(vs, steps, seed, op):
@@ -163,7 +162,7 @@ class _Kernel:
         for k, (f, _) in enumerate(inst.system):
             for c, factors in _compile(f, int):
                 if factors:
-                    monomials.setdefault(tuple(factors), [0] * len(constants))[k] = c
+                    monomials.setdefault(factors, [0] * len(constants))[k] = c
                 else:
                     constants[k] = c
 
@@ -329,13 +328,12 @@ class _Kernel:
         for j in sorted(core, key=lambda c: (fill(c), len(near[c]), c)):
             w = math.prod(w for sep, _, w in messages if j in sep)
             width = min(self.space, Q * w)
-            cost, entries = Q ** len(near[j]) * w, Q ** (len(near[j]) - 1) * width
+            cost = Q ** len(near[j]) * w  # at least the message's Q^(|near|-1) * width entries
             rest = [w for sep, _, w in messages if j not in sep] + [width, acc]
             if len(near[j]) == 1:  # the message joins the accumulator
-                cost, entries = cost + acc * width, min(self.space, acc * width)
-                rest[-2:] = [entries]
-            if (max(cost, entries) <= HISTOGRAM_CAP
-                    and cost + Q ** (len(core) - 1) * per_point(rest) < now):
+                cost += acc * width
+                rest[-2:] = [min(self.space, acc * width)]
+            if cost <= HISTOGRAM_CAP and cost + Q ** (len(core) - 1) * per_point(rest) < now:
                 return j
         return None
 
@@ -438,7 +436,7 @@ class _Kernel:
             return reduce(self.gr.mul, values) if values else None
         for factors, c in fixed:
             start += c * self.pack(held(factors))
-        row = start * self._repeat(hi - lo)[0] + (invariant(lo, hi) if invariant else 0)
+        row = (start and start * self._repeat(hi - lo)[0]) + (invariant(lo, hi) if invariant else 0)
         for factors, _, _, _, c, columns in mixed:
             x = held(factors)  # x = sum_r x_r * t^r, and column r holds y * t^r
             ks = [c] if x is None else [c * x] if self.gr.h == 1 else [c * x_r for x_r in x]

@@ -33,6 +33,12 @@ def test_verdicts_follow_pairs_won_and_the_spread():
     spread = [1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0, 9.0, 9.0, 9.0]
     assert summary(spread, [x - 0.5 for x in spread[:9]] + [10.0])["verdict"] == "unresolved"
     assert summary(spread, [x - 9.0 for x in spread[:9]] + [10.0])["verdict"] == "better"
+    # both medians under 1 ms are near the clock's noise: 10 in 10 pairs and a
+    # gap past a's spread, as 0.345 -> 0.430 ms on an unchanged module, decide nothing
+    quick = [0.345] * 10
+    assert summary(quick, [0.430] * 10)["verdict"] == "unresolved"
+    assert summary([0.430] * 10, quick)["verdict"] == "unresolved"
+    assert summary(quick, [1.2] * 10)["verdict"] == "worse"
 
 
 def test_harness_reports_every_rung_and_names_what_differs(tmp_path, monkeypatch):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wittbox
 from wittbox import cli
 from wittbox.cli import EXIT_ASSERTION, EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from wittbox.fixtures import EXAMPLE_41, EXAMPLE_43
@@ -15,6 +21,14 @@ def example41(tmp_path):
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_child(*argv, timeout, **options):
+    """`wittbox.cli` with these arguments in a child interpreter on this tree,
+    killed after `timeout` seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "wittbox.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout, **options)
 
 
 def test_witt_polys_golden(capsys):
@@ -44,19 +58,9 @@ def test_count_stable_across_partitions(capsys, example41):
 def test_huge_partition_count_does_no_extra_work(example41):
     # one range per partition used to be built and counted, however few the
     # points; a subprocess with a timeout keeps a regression from hanging here
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
-
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
     outs = []
     for parts in ("1", str(10 ** 12)):
-        proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", example41,
-                               "--partitions", parts],
-                              env=env, capture_output=True, text=True, timeout=30)
+        proc = run_child("count", example41, "--partitions", parts, timeout=30)
         outs.append((proc.returncode, proc.stdout))
     assert outs[0] == outs[1] == (EXIT_OK, "cardinality=30\nord_p=1\nord_q=1/1\n")
 
@@ -207,21 +211,12 @@ def test_duplicate_key_exit_code(capsys, tmp_path):
 
 def test_large_prime_returns_promptly(tmp_path):
     # trial division on 2^61 - 1 never finished; Miller-Rabin answers at once
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
-
     path = tmp_path / "big.ini"
     path.write_text(f"[ring]\np = {2 ** 61 - 1}\n[problem]\nn = 2\nm = 1\n"
                     "[system]\nf1 = x1 + x2 mod p^2\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
     codes = {}
     for command in ("bound", "count", "verify"):
-        proc = subprocess.run([sys.executable, "-m", "wittbox.cli", command, str(path)],
-                              env=env, capture_output=True, text=True, timeout=30)
+        proc = run_child(command, str(path), timeout=30)
         codes[command] = proc.returncode
     assert codes == {"bound": EXIT_OK, "count": EXIT_BUDGET, "verify": EXIT_BUDGET}
     path.write_text(path.read_text().replace(str(2 ** 61 - 1), str(2 ** 89 - 1)))
@@ -230,21 +225,12 @@ def test_large_prime_returns_promptly(tmp_path):
 
 def test_large_extension_modulus_is_checked_promptly(tmp_path):
     # trial division over F_1000003 took seconds; Rabin's test is polynomial in log p
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
-
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
     codes = {}
     for modulus in ("t^2 + 1", "t^2 + 1000002"):  # irreducible (p = 3 mod 4); (t-1)(t+1)
         path = tmp_path / "ext.ini"
         path.write_text(f"[ring]\np = 1000003\nh = 2\nmodulus = {modulus}\n"
                         "[problem]\nn = 1\nm = 1\n[system]\nf1 = x1 mod p^2\n")
-        proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "bound", str(path)],
-                              env=env, capture_output=True, text=True, timeout=10)
+        proc = run_child("bound", str(path), timeout=10)
         codes[modulus] = proc.returncode
     assert codes == {"t^2 + 1": EXIT_OK, "t^2 + 1000002": EXIT_VALIDATION}
 
@@ -252,19 +238,10 @@ def test_large_extension_modulus_is_checked_promptly(tmp_path):
 def test_huge_power_is_refused_before_expansion(tmp_path, capsys):
     # (x1 + x2 + 1)^3000 has about 4.5 M terms and used to be expanded in
     # full; a subprocess with a timeout keeps a regression from hanging here
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
-
     path = tmp_path / "power.ini"
     path.write_text("[ring]\np = 2\n[problem]\nn = 2\nm = 1\n[system]\n"
                     "f1 = (x1 + x2 + 1)^3000 mod p^1\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", str(path)],
-                          env=env, capture_output=True, text=True, timeout=30)
+    proc = run_child("count", str(path), timeout=30)
     assert proc.returncode == EXIT_BUDGET
     assert "error.kind=budget\n" in proc.stdout
     assert "error.message=line 7: " in proc.stdout
@@ -277,20 +254,11 @@ def test_huge_power_is_refused_before_expansion(tmp_path, capsys):
 def test_long_product_is_refused_before_multiplying(tmp_path, capsys):
     # eight (x1 + x2 + x3 + 1)^9 factors, each within the `^` cap, used to be
     # multiplied out for seconds; the product bound refuses the second `*`
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
-
     factor = "(x1 + x2 + x3 + 1)^9"
     path = tmp_path / "product.ini"
     path.write_text("[ring]\np = 2\n[problem]\nn = 3\nm = 1\n[system]\n"
                     f"f1 = {' * '.join([factor] * 8)} mod p^1\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "count", str(path)],
-                          env=env, capture_output=True, text=True, timeout=30)
+    proc = run_child("count", str(path), timeout=30)
     assert proc.returncode == EXIT_BUDGET
     assert proc.stdout == ("error.kind=budget\nerror.message=line 7: multiplying with `*` "
                            "could produce more than 1024 terms\n")
@@ -473,13 +441,7 @@ HOSTILE_INPUTS = {
     for name in sorted(HOSTILE_INPUTS) for command in HOSTILE_INPUTS[name][1]])
 def test_hostile_input_fails_fast(tmp_path, name, command):
     # each run gets 10 s and a 1.5 GB address space, capped in the child only
-    import os
     import resource
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
@@ -488,10 +450,7 @@ def test_hostile_input_fails_fast(tmp_path, name, command):
     code, line = expected[command]
     path = tmp_path / f"{name}.ini"
     path.write_bytes(text.encode("latin-1"))
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", command, str(path)],
-                          env=env, capture_output=True, text=True, timeout=10,
-                          preexec_fn=cap_memory)
+    proc = run_child(command, str(path), timeout=10, preexec_fn=cap_memory)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
     assert line in proc.stdout
@@ -502,17 +461,7 @@ def test_hostile_input_fails_fast(tmp_path, name, command):
 def test_oversized_witt_polys_are_refused():
     # the (5, 3, 3) sum ran for minutes; its recursion passes MAX_WITT_PAIRS
     # with a product of 254,051,721 pairs, after 6.4M pairs in all
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import wittbox
-
-    env = dict(os.environ, PYTHONPATH=str(Path(wittbox.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "wittbox.cli", "witt-polys", "--p", "5",
-                           "--n", "3", "--r", "3"],
-                          env=env, capture_output=True, text=True, timeout=10)
+    proc = run_child("witt-polys", "--p", "5", "--n", "3", "--r", "3", timeout=10)
     assert proc.returncode == EXIT_BUDGET
     assert proc.stdout == ("error.kind=budget\nerror.message=the Witt recursion needs a "
                            "product of more than 33554432 term pairs\n")

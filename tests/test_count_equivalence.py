@@ -1,13 +1,14 @@
 """The integer counting kernel against the object-level reference.
 
-The reference decides every point with `box_enumerate` (decode_base,
-expand_point), `evaluate_point` (from_digits, MultiPoly.evaluate over GRElem)
-and `is_zero`; `count_zeros` must match it exactly on every instance.  The
-"components" corpus splits the columns into several components, and the
-"elimination" corpus links them in chains, cycles, stars, 2 x k grids and
-through generators, so the kernel sums columns out into residue histograms
-there instead of deciding each point; in a few of them several histograms
-are left, and each point is weighed by their convolution.
+The reference, `reference_count`, decides every point with `box_enumerate`
+(decode_base, expand_point), this file's `evaluate_point` (from_digits,
+MultiPoly.evaluate over GRElem) and `is_zero`; `count_zeros` must match it
+exactly on every instance.  The "components" corpus splits the columns into
+several components, and the "elimination" corpus links them in chains,
+cycles, stars, 2 x k grids and through generators, so the kernel sums columns
+out into residue histograms there instead of deciding each point; in a few of
+them several histograms are left, and each point is weighed by their
+convolution.
 
 `reference_row` is the list-based row, one int per point, that the kernel's
 packed rows (one int per row) are checked against row by row, and
@@ -26,11 +27,11 @@ from pathlib import Path
 import pytest
 
 import wittbox
-from wittbox.box import box_enumerate, box_make, box_variable_names
-from wittbox.counting import count_zeros, evaluate_point, make_instance, system_variable_names
+from wittbox.box import box_enumerate, box_make, box_variable_names, expand_point
+from wittbox.counting import count_zeros, make_instance, system_variable_names
 from wittbox.errors import BudgetError
-from wittbox.fqfield import field_params, fq_enumerate, power
-from wittbox.galois import GRParams, teichmuller_lift
+from wittbox.fqfield import field_params, fq, fq_enumerate, power
+from wittbox.galois import GRParams, from_digits, int_to_gr, reduce_precision, teichmuller_lift
 from wittbox.instancefile import parse_instance
 from wittbox.kernel import _Kernel, _join
 from wittbox.poly import FieldDomain, MultiPoly, ZZ
@@ -43,11 +44,42 @@ SHAPES = ("chain", "cycle", "star", "grid", "linked")
 PARTITIONS = (1, 2, 7)
 
 
+def enumeration_precision(inst):
+    """Digits up to max(m, M') are needed to evaluate all residues."""
+    return max(inst.working_precision, inst.box.m)
+
+
+def evaluate_point(inst, pt):
+    """Residues f_k(Y) in GR(p^{m_k}, h), computed once at working precision."""
+    params = GRParams(inst.field, enumeration_precision(inst))
+    ys = {
+        name: from_digits(pt.digits[j], params)
+        for j, name in enumerate(system_variable_names(inst.box.n))
+    }
+    out = []
+    for f, mk in inst.system:
+        value = f.evaluate(ys, coerce=lambda c: int_to_gr(c, params))
+        out.append(reduce_precision(value, mk))
+    return out
+
+
 def reference_count(inst):
     return sum(
         all(r.is_zero() for r in evaluate_point(inst, pt))
-        for pt in box_enumerate(inst.box, inst.enumeration_precision)
+        for pt in box_enumerate(inst.box, enumeration_precision(inst))
     )
+
+
+def test_evaluate_point_oracle():
+    # f = x1 + 3*x2 over Z/8 at the Teichmuller point (1, 1): 1 + 3 = 4
+    field = field_params(2)
+    box = box_make(field, 2, 3)
+    f = MultiPoly(ZZ, system_variable_names(2), {(1, 0): 1, (0, 1): 3})
+    inst = make_instance(box, [(f, 3)])
+    one = fq(field, 1)
+    pt = expand_point(box, (one, one) + (fq(field, 0),) * 4, 3, fq_enumerate(field))
+    (residue,) = evaluate_point(inst, pt)
+    assert residue == int_to_gr(4, GRParams(field, 3))
 
 
 def column_of(name):
@@ -446,12 +478,15 @@ def test_row_plans_cover_the_cases(monkeypatch):
 def test_an_elimination_is_one_row(cap, monkeypatch):
     # an elimination reads, weighs and splits all its points in one row, not a
     # row of Q points per assignment of its message's columns; _next_column
-    # keeps that row within HISTOGRAM_CAP points, and the counts do not change
+    # keeps that row and its message within HISTOGRAM_CAP points and entries,
+    # the row builds none of the core's row of ones and zero-test constants
+    # (_repeat), and the counts do not change
     insts = [inst for p, h in FIELDS for inst in corpus(p, h, "elimination")]
     expected = [count_zeros(inst).cardinality for inst in insts]
     if cap:
         monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", cap)
-    rows, split, eliminate = [], _Kernel._split, _Kernel._eliminate
+    rows, messages_built, repeats = [], [], []
+    split, eliminate, repeat = _Kernel._split, _Kernel._eliminate, _Kernel._repeat
 
     def spy_split(self, row, n):
         rows[-1].append(n)
@@ -459,14 +494,25 @@ def test_an_elimination_is_one_row(cap, monkeypatch):
 
     def spy_eliminate(self, j, scopes, messages):
         rows.append([self.Q])
-        return eliminate(self, j, scopes, messages)
+        before = len(repeats)
+        sep, table = eliminate(self, j, scopes, messages)
+        messages_built.append((len(repeats) - before, sum(map(len, table))))
+        return sep, table
+
+    def spy_repeat(self, n):
+        repeats.append(n)
+        return repeat(self, n)
 
     monkeypatch.setattr(_Kernel, "_split", spy_split)
     monkeypatch.setattr(_Kernel, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(_Kernel, "_repeat", spy_repeat)
     kernels = [_Kernel(inst) for inst in insts]  # a kernel splits rows only to eliminate
     assert all(len(row) == 2 for row in rows)
     assert all(n <= wittbox.kernel.HISTOGRAM_CAP for _, n in rows)
     assert any(n > Q for Q, n in rows)
+    assert len(messages_built) == len(rows)
+    assert all(built == 0 for built, _ in messages_built)
+    assert all(entries <= wittbox.kernel.HISTOGRAM_CAP for _, entries in messages_built)
     monkeypatch.setattr(_Kernel, "_split", split)
     assert [k.factor * k.count(0, k.size) for k in kernels] == expected
 

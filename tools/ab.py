@@ -10,9 +10,9 @@ and stdout through both trees' `cli.main`, or the run is named on stderr, with
 exit 1.  Then each rung of the counts (LADDER), the interpolations (SHAPES) and
 the set-up probes is timed in N pairs of calls (default 10), and summed up in
 one JSON report on stdout, with the lines of every module of each tree.
-Verdicts on sub-millisecond rungs (the per-module `compile_ms` and `body_ms`)
-are indicative only, since their spread is near the clock's noise floor; a
-claim rests on rungs of a millisecond or more.
+A rung whose two medians are both under a millisecond (most per-module
+`compile_ms` and `body_ms`) always reads `unresolved`, since its spread is
+near the clock's noise floor; a claim rests on rungs of a millisecond or more.
 """
 
 import argparse
@@ -150,11 +150,13 @@ def summary(a, b):
     """Both medians, b/a, the pairs b won (ties count for neither), a's
     interquartile range and the verdict of the times a[k] and b[k] of pairs k:
     `better` if b won at least 9 in 10 pairs and the medians differ by more
-    than a's range, `worse` in the mirror case, else `unresolved`."""
+    than a's range, `worse` in the mirror case, else `unresolved`; always
+    `unresolved` when both medians are under 1 ms, near the clock's noise."""
     ma, mb = statistics.median(a), statistics.median(b)
     won, lost = sum(y < x for x, y in zip(a, b)), sum(y > x for x, y in zip(a, b))
     q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (ma, ma, ma)
-    verdict = ("better" if won >= 0.9 * len(a) and ma - mb > q3 - q1 else
+    verdict = ("unresolved" if max(ma, mb) < 1 else
+               "better" if won >= 0.9 * len(a) and ma - mb > q3 - q1 else
                "worse" if lost >= 0.9 * len(a) and mb - ma > q3 - q1 else "unresolved")
     return {"a": round(ma, 3), "b": round(mb, 3), "b/a": round(mb / ma, 3) if ma else None,
             "b_won": won, "a_iqr": round(q3 - q1, 3), "verdict": verdict}
