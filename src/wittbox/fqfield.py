@@ -263,6 +263,15 @@ class GRElem(_Frozen):
         _set(self, "params", params)
         _set(self, "coeffs", coeffs)
 
+    def __eq__(self, other):  # `_Record`'s, without its two tuples: polynomials test every term
+        if type(other) is not GRElem:
+            return NotImplemented
+        return (self.params is other.params or self.params == other.params) and \
+            self.coeffs == other.coeffs
+
+    def __hash__(self):  # equal elements have equal coeffs
+        return hash(self.coeffs)
+
     def _check(self, other):
         if self.params is not other.params and self.params != other.params:
             raise ConfigError("Galois ring mismatch")

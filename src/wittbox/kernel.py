@@ -80,10 +80,9 @@ def _join(values, size):
 
 
 def _tables(size, keys, entries):
-    """Readers, by key, of tables from entries(lo, hi), each table's entries lo..hi-1
-    by key: held up to HISTOGRAM_CAP entries, else computed by blocks of ROW as read,
-    the last two kept for all the tables; a range of step 1 is read as slices of its
-    blocks."""
+    """Readers, by key, of tables from entries(lo, hi), each table's entries lo..hi-1 by key:
+    held up to HISTOGRAM_CAP entries, else computed by blocks of ROW as read, the last two
+    kept for all the tables; a range of step 1 is read as slices of its blocks."""
     if size <= HISTOGRAM_CAP:
         return {key: _held(values) for key, values in entries(0, size).items()}
     block = lru_cache(2)(lambda b: entries(b * ROW, min(size, b * ROW + ROW)))
@@ -116,34 +115,34 @@ def _product(hists, shift, reduce):
 class _Kernel:
     """Column tables and an elimination plan for one `count_zeros` call.
 
-    Every point is decided in GR(p^{M'}, h), M' the largest modulus: digit
-    levels i >= M' add p^i * tau(a), which vanishes there, so their free
-    digits only multiply the count and their generators are never read.  A
-    column then takes Q = q^live values.
+    Every point is decided in GR(p^{M'}, h), M' the largest modulus: digit levels i >= M'
+    add p^i * tau(a), which vanishes there, so their free digits only multiply the count
+    and their generators are never read.  A column then takes Q = q^live values.
 
     The *reach* of column j is j plus the columns its generators below M' read; column
     j's value, a function of the free digits of its reach, is tabulated with each power
     the system takes of it, built whole as Kronecker sums and products over the digit
-    positions (`_values_at`), not point by point.  A residue vector in prod_k GR(p^{m_k},
-    h) is one int with a `width`-bit slot per coefficient, so vectors add as ints and a
-    monomial's coefficients in every f_k are one multiplier.  Monomials whose columns'
-    reaches cover the same columns form one factor over that scope.
+    positions (`_values_at`), not point by point; the columns without generators take the
+    same values, so they share one table per power.  A residue vector in prod_k
+    GR(p^{m_k}, h) is one int with a `width`-bit slot per coefficient, so vectors add as
+    ints and a monomial's coefficients in every f_k are one multiplier.  Monomials whose
+    columns' reaches cover the same columns form one factor over that scope.
 
-    Columns are eliminated in min-fill order (bucket elimination, Dechter
-    1999): summing over a column the product of the factors and messages that
-    read it gives a message, a residue histogram per assignment of the other
-    columns they read (a product of histograms is their convolution).  One
-    that reads no column joins the accumulator the constant terms seed.
-    Elimination stops before a message or its work would pass HISTOGRAM_CAP,
-    or would cost more than enumerating the columns left, the core, in rows
+    Columns are eliminated in min-fill order (bucket elimination, Dechter 1999): summing
+    over a column the product of the factors and messages that read it gives a message, a
+    residue histogram per assignment of the other columns they read (a product of
+    histograms is their convolution).  One that reads no column joins the accumulator the
+    constant terms seed.  Elimination stops before a message or its work would pass
+    HISTOGRAM_CAP, or would cost more than enumerating the columns left, the core, in rows
     over its `inner` last columns.
 
-    A row of the core fixes all its columns but the `inner` last ones; an
-    elimination is one row over all its points, every column moving, the column
-    summed out last.  A row is one int, its points side by side (`_join`).  Its plan
-    splits the monomials once: one that reads only fixed columns is one scalar per
-    row; those that read only moving columns sum to one row per plan; a mixed one is
-    its fixed factors times its multiplier times the rows of its moving factor.  A
+    A row of the core fixes all its columns but the `inner` last ones; an elimination is
+    one row over all its points, every column moving, the column summed out last.  A row
+    is one int, its points side by side (`_join`).  Its plan splits the monomials once:
+    one that reads only fixed columns is one scalar per row; those that read only moving
+    columns sum to one row per plan; a mixed one is its fixed factors times its multiplier
+    times the rows of its moving factor.  Fixed factors are read for a block of up to ROW
+    rows at once (`_scalars`), and an elimination is the block of one empty prefix.  A
     core without messages counts from low bits (`_zeros`).
     """
 
@@ -153,8 +152,7 @@ class _Kernel:
         precision = inst.working_precision
         live = min(m, precision)  # free digit levels that reach a residue
         self.q, self.n, self.live, self.Q = q, n, live, q ** live
-        self.gr = gr = _IntRing(field, precision)
-        self.fq = fq = _IntRing(field, 1)
+        self.gr, self.fq = gr, fq = _IntRing(field, precision), _IntRing(field, 1)
         elements = fq_enumerate(field)  # digit code a <-> elements[a]
 
         # Each monomial once, with its coefficient in every f_k.
@@ -217,8 +215,9 @@ class _Kernel:
             self.pack(gr.element([p ** i * c for c in tau])) for tau in taus])) for i in levels}
         self.reach = {j: tuple(sorted({j, *(s % n for _, g in self.generators.get(j, ())
                                             for _, fs in g for s, _ in fs)})) for j in read}
-        self.powers = {}
+        self.powers, free = {}, read - self.generators.keys()  # free columns share one family
         self.exponents = {j: {e for mono in monomials for i, e in mono if i == j} for j in read}
+        self.exponents.update(dict.fromkeys(free, set().union(*map(self.exponents.get, free))))
 
         self.factors = {}  # scope -> [(monomial, coefficient multiplier)]
         for mono, coeffs in monomials.items():
@@ -290,15 +289,17 @@ class _Kernel:
         return out[lo - first * u:hi - first * u]
 
     def _power(self, j, e):
-        """Column j's value to the e, by the big-endian index of its reach's values."""
-        if j not in self.powers:
-            self.powers[j] = _tables(self.Q ** len(self.reach[j]), self.exponents[j],
-                                     partial(self._chain, j))
-        return self.powers[j][e]
+        """Column j's value to the e, by the big-endian index of its reach's values; a column
+        without generators takes sum_i p^i tau(a_i), as all such do, and shares their tables."""
+        family = j if j in self.generators else None
+        if family not in self.powers:
+            self.powers[family] = _tables(self.Q ** len(self.reach[j]), self.exponents[j],
+                                          partial(self._chain, j))
+        return self.powers[family][e]
 
     def _chain(self, j, lo, hi):
-        """Column j's values at lo..hi-1 to each power the system takes of it, in one loop
-        over the sorted exponents: y^e is y^d * y^(e-d), for d the exponent before e."""
+        """Column j's values at lo..hi-1 to each power the system takes of its family, in one
+        loop over the sorted exponents: y^e is y^d * y^(e-d), for d the exponent before e."""
         mul = self.gr.mul
         to_the, by = (pow, self.gr.mod) if self.gr.h == 1 else (power, mul)  # C-level at h = 1
         values, out, d = self._values_at(j, lo, hi), {}, 0
@@ -349,7 +350,8 @@ class _Kernel:
         plan = self._plan([t for s in scopes if j in s for t in self.factors[s]], over, len(over))
         found = [self._read(_held(table), self._place(s, over, len(over)), (), 0, size)
                  for s, table in inbox]
-        out, row = [{} for _ in range(size // Q)], self._row(plan, (), 0, size, 0)
+        [scalars] = self._scalars(plan, 0, 1, 0)  # the block of one empty prefix
+        out, row = [{} for _ in range(size // Q)], self._row(plan, (), 0, size, scalars)
         for i, (r, *hs) in enumerate(zip(self._split(row, size), *found)):
             for key, x in _product(hs, reduce(r), reduce).items():
                 out[i // Q][key] = out[i // Q].get(key, 0) + x
@@ -377,33 +379,36 @@ class _Kernel:
         base = sum(map(operator.mul, outer, strides))
         if offsets is None:
             return table((base,)) * (hi - lo)
-        if type(offsets) is range:
-            offsets = offsets[lo:hi]
-            return table(range(base + offsets.start, base + offsets.stop, offsets.step))
-        return table(map(base.__add__, offsets[lo:hi]))
+        offsets = offsets[lo:hi]
+        return table(range(base + offsets.start, base + offsets.stop, offsets.step)
+                     if type(offsets) is range else map(base.__add__, offsets))
 
     def _plan(self, monomials, over, inner):
         """Monomials placed for rows over `over` whose last `inner` columns move: (tables,
         multiplier) of those that read no moving column; the terms of those that read no
         fixed column and the reader of their sum, or None; the terms of the rest (all, if
-        no column is fixed).  A term is (tables read once per row, tables read per point,
-        the last moving factor's table, its place, multiplier, its `_columns` reader)."""
+        no column is fixed).  A term is (tables read once per row, placed for `_scalars` with
+        the fixed columns as one row; tables read per point; the last moving factor's table,
+        its place; multiplier; its `_columns` reader)."""
         fixed, invariant, mixed = [], [], []
-        kept = max(2, HISTOGRAM_CAP // min(self.Q ** inner, ROW)) if inner < len(over) else 0
+        prefix = over[:len(over) - inner]
+        kept = max(2, HISTOGRAM_CAP // min(self.Q ** inner, ROW)) if prefix else 0
         for mono, c in monomials:
             reads = [(self._place(self.reach[i], over, inner), i, e) for i, e in mono]
-            held = [(self._power(i, e), place) for place, i, e in reads if place[1] is None]
+            still = [read for read in reads if read[0][1] is None]
             moving = [read for read in reads if read[0][1] is not None]
+            if len(moving) > 1:  # a product of moving factors is taken per point anyway
+                still, moving = [], still + moving
+            held = [(self._power(i, e), self._place(self.reach[i], prefix, len(prefix)))
+                    for _, i, e in still]
             if not moving:
                 fixed.append((held, c))
                 continue
             *others, (place, j, e) = moving
             others = [(self._power(i, f), where) for where, i, f in others]
-            if others:  # a product of moving factors is taken per point anyway
-                held, others = [], held + others
             term = (held, others, self._power(j, e), place, c)
             term += (self._columns(term, kept),)
-            per_row = inner == len(over) or any(any(where[0]) for where, _, _ in reads)
+            per_row = not prefix or any(any(where[0]) for where, _, _ in reads)
             (mixed if per_row else invariant).append(term)
         table = lru_cache(kept)(lambda lo, hi: sum(  # invariant terms have no fixed factor
             c * columns((), lo, hi)[0] for *_, c, columns in invariant)) if invariant else None
@@ -427,20 +432,27 @@ class _Kernel:
         spans = lru_cache(kept)(lambda base, lo, hi: read(((1,), place[1]), (base,), lo, hi))
         return lambda outer, lo, hi: spans(sum(map(operator.mul, outer, place[0])), lo, hi)
 
-    def _row(self, plan, outer, lo, hi, start):
-        """`start` plus the planned monomials at points lo..hi-1 of the row after `outer`."""
-        fixed, _, invariant, mixed = plan
+    def _scalars(self, plan, lo, hi, start):
+        """Per prefix lo..hi-1 of the fixed columns: `start` plus the monomials that read no
+        moving column, then c * x_r for each mixed one, x = sum_r x_r t^r its fixed factors."""
+        fixed, _, _, mixed = plan
+        mul, starts, ks = partial(map, self.gr.mul), [start] * (hi - lo), []
 
-        def held(factors):
-            values = [self._read(table, place, outer, 0, 1)[0] for table, place in factors]
-            return reduce(self.gr.mul, values) if values else None
+        def held(factors):  # the product of the factors at each prefix, each read once
+            return reduce(mul, [self._read(t, at, (), lo, hi) for t, at in factors])
         for factors, c in fixed:
-            start += c * self.pack(held(factors))
+            starts = map(operator.add, starts, map(c.__mul__, map(self.pack, held(factors))))
+        for factors, *_, c, _ in mixed:
+            ks.append(repeat([c]) if not factors else [[c * x] for x in held(factors)]
+                      if self.gr.h == 1 else [[c * x_r for x_r in x] for x in held(factors)])
+        return list(zip(starts, *ks))
+
+    def _row(self, plan, outer, lo, hi, scalars):
+        """The planned monomials at points lo..hi-1 of the row after `outer`, its `_scalars`."""
+        (_, _, invariant, mixed), (start, *ks) = plan, scalars
         row = (start and start * self._repeat(hi - lo)[0]) + (invariant(lo, hi) if invariant else 0)
-        for factors, _, _, _, c, columns in mixed:
-            x = held(factors)  # x = sum_r x_r * t^r, and column r holds y * t^r
-            ks = [c] if x is None else [c * x] if self.gr.h == 1 else [c * x_r for x_r in x]
-            row += sum(map(operator.mul, ks, columns(outer, lo, hi)))
+        for (*_, columns), k in zip(mixed, ks):
+            row += sum(map(operator.mul, k, columns(outer, lo, hi)))
         return row
 
     def _split(self, row, n):
@@ -452,9 +464,9 @@ class _Kernel:
 
     def _repeat(self, n):
         """1, then each constant of the zero test, at each of n points of a row."""
-        if n not in self.repeats:
-            ones = _join(repeat(1, n), self.bytes)
-            self.repeats[n] = [ones] + [c * ones for c in self.test]
+        if n not in self.repeats:  # each constant fits a point's P bytes
+            self.repeats[n] = [int.from_bytes(c.to_bytes(self.bytes, "little") * n, "little")
+                               for c in [1] + self.test]
         return self.repeats[n]
 
     def _zeros(self, row, n):
@@ -468,13 +480,16 @@ class _Kernel:
     def count(self, start: int, stop: int) -> int:
         """Zeros among the core points [start, stop), big-endian over the core
         columns, each weighed by the messages left; `factor` is not applied."""
-        reduce, zeros = self.reduce, 0
+        reduce, zeros, first, block = self.reduce, 0, 0, []
         while start < stop:
             prefix, lo = divmod(start, self.row)
             hi = min(self.row, lo + ROW, stop - prefix * self.row)
             start += hi - lo
+            if prefix >= first + len(block):  # the scalars of up to ROW rows, read at once
+                first, block = prefix, self._scalars(
+                    self.plan, prefix, min(prefix + ROW, -(-stop // self.row)), self.shift)
             outer = [prefix // self.Q ** k % self.Q for k in range(len(self.core) - self.inner)][::-1]
-            row = self._row(self.plan, outer, lo, hi, self.shift)
+            row = self._row(self.plan, outer, lo, hi, block[prefix - first])
             if not self.pending:
                 zeros += self._zeros(row, hi - lo)
                 continue

@@ -260,6 +260,17 @@ def rows_instance(rng, field, n, m):
     return make_instance(box_make(field, n, m), system)
 
 
+# Three columns over F_q, f1 mod p^2 and f2 mod p: a core whose rows of at most
+# q points fix x1 and x2, so a block of rows reads x1 and x2 alone at scattered
+# prefixes.  With `g[1][2] = ...` column 2 has a generator below M' = 2.
+BLOCKS = ("[ring]\np = {p}\nh = {h}\n[problem]\nn = 3\nm = 1\n[system]\n"
+          "f1 = x1^3 + 2*x1*x2 + x2^2*x3 + 3*x3 + 1 mod p^2\nf2 = x1*x3 + x2 mod p^1\n{box}")
+
+
+def blocks_instance(p, h, box=""):
+    return parse_instance(BLOCKS.format(p=p, h=h, box=box))
+
+
 def corpus(p, h, kind):
     field = field_params(p, h)
     if kind == "elimination":
@@ -328,8 +339,10 @@ def test_tables_past_the_cap_keep_the_counts(p, h, monkeypatch):
         return {key: spied(read) for key, read in readers.items()}
 
     # the counts at the real cap, which test_count_matches_reference holds
-    # to the reference on these corpora
+    # to the reference on these corpora; BLOCKS, whose rows read x1 and x2 at
+    # scattered prefixes, is held to it in test_free_columns_share_one_table_family
     insts = [inst for kind in KINDS + ("elimination",) for inst in corpus(p, h, kind)]
+    insts.append(blocks_instance(p, h))
     expected = [count_zeros(inst).cardinality for inst in insts]
     monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", 2)
     monkeypatch.setattr(wittbox.kernel, "ROW", 8)
@@ -354,6 +367,70 @@ def test_long_power_chains_match_reference(caps, monkeypatch):
         for f in ("(x1 + 3)^1000", descending):
             inst = parse_instance(text.format(m=m, f=f))
             assert count_zeros(inst).cardinality == reference_count(inst), (m, f[:12])
+
+
+@pytest.mark.parametrize("caps", [None, (2, 8)])
+def test_free_columns_share_one_table_family(caps, monkeypatch):
+    # every column without a generator takes the values sum_i p^i tau(a_i), so
+    # a Teichmuller box builds one family of power tables for its three columns,
+    # over the union of their exponents; a generator on column 2 gives that
+    # column a family of its own.  The counts equal the reference, with tables
+    # held and (at a cap of 2 entries and rows of 8) computed in blocks
+    if caps:
+        monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", caps[0])
+        monkeypatch.setattr(wittbox.kernel, "ROW", caps[1])
+    families, chain = set(), _Kernel._chain
+
+    def spy(self, j, lo, hi):
+        families.add(j)
+        return chain(self, j, lo, hi)
+
+    monkeypatch.setattr(_Kernel, "_chain", spy)
+    # x1^3, x1 and x3 take the powers 1 and 3, and x2^2 the power 2 if x2 is free
+    for box, built, union in [("", 1, {1, 2, 3}),
+                              ("[box]\ng[1][2] = x[0][1]*x[0][2] + x[0][2]\n", 2, {1, 3})]:
+        for p, h in [(3, 2), (2, 3)]:
+            families.clear()
+            inst = blocks_instance(p, h, box)
+            kernel = _Kernel(inst)
+            assert kernel.exponents[0] is kernel.exponents[2] == union
+            assert (kernel.exponents[1] is kernel.exponents[0]) == (built == 1)
+            for parts in PARTITIONS:
+                assert count_zeros(inst, partitions=parts).cardinality == reference_count(inst)
+            assert len(families) == built, (p, h, box)  # tables past the cap build as read
+
+
+@pytest.mark.parametrize("row", [2, 3])
+def test_blocks_of_rows_end_anywhere(row, monkeypatch):
+    # `count` reads the fixed factors of up to ROW rows at once; in rows of 2
+    # or 3 points, over 1-7 partitions, blocks hold several prefixes and ranges
+    # and blocks start and end inside prefixes, in cores with messages left and
+    # without; the counts are those at the real ROW, which
+    # test_count_matches_reference holds to the reference
+    insts = [inst for p, h in FIELDS for inst in corpus(p, h, "elimination")]
+    expected = [count_zeros(inst).cardinality for inst in insts]
+    monkeypatch.setattr(wittbox.kernel, "ROW", row)
+    seen, calls, scalars, count = set(), [], _Kernel._scalars, _Kernel.count
+
+    def spy_scalars(self, plan, lo, hi, start):
+        calls.append(hi - lo)
+        return scalars(self, plan, lo, hi, start)
+
+    def spy_count(self, start, stop):
+        calls.clear()
+        zeros = count(self, start, stop)
+        inside = start % self.row > 0 and stop % self.row > 0
+        seen.add((bool(self.pending), inside, len(calls) > 1 and max(calls) > 1))
+        return zeros
+
+    monkeypatch.setattr(_Kernel, "_scalars", spy_scalars)
+    monkeypatch.setattr(_Kernel, "count", spy_count)
+    for inst, cardinality in zip(insts, expected):
+        for parts in range(1, 8):
+            assert count_zeros(inst, partitions=parts).cardinality == cardinality, (inst, parts)
+    # a range that starts and ends inside prefixes and reads several blocks, one
+    # of several prefixes, with messages left and without
+    assert {(True, True, True), (False, True, True)} <= seen
 
 
 def test_rows_read_a_run_of_columns_as_one_range():
@@ -554,13 +631,15 @@ def test_dead_digit_levels_only_multiply(tmp_path):
 def reference_row(kernel, plan, outer, lo, hi, start):
     """`start` plus the planned monomials at the points lo..hi-1 of the row
     after `outer`, one int per point, with each y * t^r taken by the ring's
-    product: the list-based oracle of `_Kernel._row`."""
+    product: the list-based oracle of `_Kernel._row` and `_Kernel._scalars`.
+    A factor fixed on the row is read alone, at the row's prefix."""
     fixed, invariant, _, mixed = plan
     gr, pack = kernel.gr, kernel.pack
     basis = [gr.element(tuple(int(r == s) for s in range(gr.h))) for r in range(gr.h)]  # t^r
+    prefix = reduce(lambda index, digit: index * kernel.Q + digit, outer, 0)
 
     def held(factors):
-        values = [kernel._read(table, place, outer, 0, 1)[0] for table, place in factors]
+        values = [kernel._read(table, place, (), prefix, prefix + 1)[0] for table, place in factors]
         return reduce(gr.mul, values) if values else None
     for factors, c in fixed:
         start += c * pack(held(factors))
@@ -587,11 +666,13 @@ def reference_row(kernel, plan, outer, lo, hi, start):
 @pytest.mark.parametrize("p,h", sorted(FIELDS))
 def test_packed_rows_match_the_list_rows(p, h, monkeypatch):
     # every row any plan builds, of the core (scaled or not) and of each
-    # elimination, split into points, equals the list-based row
+    # elimination, split into points, equals the list-based row, whose fixed
+    # factors are read row by row, not per block of rows as `_scalars` reads them
     rows, packed = [], _Kernel._row
 
-    def spy(self, plan, outer, lo, hi, start):
-        row = packed(self, plan, outer, lo, hi, start)
+    def spy(self, plan, outer, lo, hi, scalars):
+        row = packed(self, plan, outer, lo, hi, scalars)
+        start = self.shift if plan is getattr(self, "plan", None) else 0
         assert self._split(row, hi - lo) == reference_row(self, plan, outer, lo, hi, start)
         assert row < 1 << 8 * self.bytes * (hi - lo)
         rows.append(plan is getattr(self, "plan", None) and not self.pending)
