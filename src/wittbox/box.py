@@ -18,13 +18,13 @@ from operator import attrgetter, is_, itemgetter, mul
 from .errors import BudgetError, ValidationError
 from .fqfield import (
     FieldParams, GRElem, _Frozen, _prime_factors, _set, fq_enumerate, polymul_mod, power)
-from .poly import FieldDomain, MultiPoly
+from .poly import FieldDomain, MultiPoly, _fields
 
 TABLE_BUDGET = 1 << 20  # rows of the largest table box_from_table interpolates
 # multiply-adds nm * q^(nm+1) * h^2 of its largest transform: q = 8191 at n = m = 1, the
 # slowest shape accepted, takes 9-10 s on a 2-core VM
 TRANSFORM_BUDGET = 1 << 26
-_NATIVE = sys.byteorder  # of the machine words in `array('Q')`
+_read, _write, _fill = _fields(8, sys.byteorder)  # the machine words of `array('Q')`
 
 
 @lru_cache(maxsize=1)
@@ -63,9 +63,9 @@ class BoxSpec(_Frozen):
 def box_make(field: FieldParams, n: int, m: int, generators=None) -> BoxSpec:
     if n < 1 or m < 1:
         raise ValidationError("n and m must be positive")
-    names = box_variable_names(n, m)
-    dom = FieldDomain(field)
     clean = {}
+    if generators:  # a Teichmuller box builds no digit names
+        names, dom = box_variable_names(n, m), FieldDomain(field)
     for (i, j), g in (generators or {}).items():
         if i < m or not (1 <= j <= n):
             raise ValidationError(f"generator index ({i},{j}) out of range (need i >= m, 1 <= j <= n)")
@@ -212,8 +212,8 @@ def _base_indices(dom: FieldDomain, bases, nm: int):
     total = 0
     for r, coord in enumerate(_coordinates(dom, list(chain.from_iterable(bases)))):
         for v in range(nm):
-            total += p ** r * q ** (nm - 1 - v) * int.from_bytes(coord[v::nm], _NATIVE)
-    return array("Q", total.to_bytes(8 * len(bases), _NATIVE))
+            total += p ** r * q ** (nm - 1 - v) * _write(coord[v::nm])
+    return _read(total, len(bases))
 
 
 def _transform(field: FieldParams, nm: int):
@@ -239,23 +239,22 @@ def _transform(field: FieldParams, nm: int):
     basis = [tuple(int(r == s) for r in range(h)) for s in range(h)]  # t^s
     neg = [[[-times(a, t)[r] % p for a in powers] for t in basis] for r in range(h)]  # -g^e t^s
     words = q ** (nm - 1)  # in one plane
-    lsb = int.from_bytes(array("Q", [1] * words), _NATIVE)
+    lsb = _fill(1, words)
 
-    def reduced(total):  # a block's fields mod p, as bytes
+    def reduced(total):  # a block's fields mod p
         if p == 2:
-            return (total & lsb).to_bytes(8 * words, _NATIVE)
-        fields = array("Q", total.to_bytes(8 * words, _NATIVE))
-        return array("Q", map(p.__rmod__, fields)).tobytes()
+            return _read(total & lsb, words)
+        return array("Q", map(p.__rmod__, _read(total, words)))
 
     def interpolate(coords):
         for _ in range(nm):
-            ints = [[int.from_bytes(c[a::q], _NATIVE) for a in planes] for c in coords]
+            ints = [[_write(c[a::q]) for a in planes] for c in coords]
             zeros = [c[0::q] for c in coords]
-            blocks = [[z.tobytes()] for z in zeros]  # c_0 = v(0)
+            blocks = [[z] for z in zeros]  # c_0 = v(0)
             for j in range(order - 1, -1, -1):  # k = q-1-j from 1 up
                 exponents = [l * j % order for l in range(order)]
                 for r, out in enumerate(blocks):
-                    total = (p - 1) * int.from_bytes(zeros[r], _NATIVE) if j == 0 else 0  # 0^0 = 1
+                    total = (p - 1) * _write(zeros[r]) if j == 0 else 0  # 0^0 = 1
                     for s in range(h):
                         total += sum(map(mul, map(neg[r][s].__getitem__, exponents), ints[s]))
                     out.append(reduced(total))

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, product, repeat, starmap
 
 from .counting import ProblemInstance
 from .fqfield import fq_enumerate, polymul_mod, power
 from .galois import GRParams, teichmuller_lift
+from .poly import _fields
 
 HISTOGRAM_CAP = 1 << 16  # entries of a table or message, and pairs of one elimination
 # Points of the core read per row: enough to spread the cost of locating
@@ -69,14 +68,6 @@ def _kronecker(vs, steps, seed, op):
 def _held(entries):
     """The reader of a list: the entries at an iterable of indices."""
     return lambda indices: list(map(entries.__getitem__, indices))
-
-
-def _join(values, size):
-    """Per-point ints as one packed row: value i at bytes [i*size, (i+1)*size)."""
-    if size == 8 and sys.byteorder == "little":  # a machine word per point
-        return int.from_bytes(array("Q", values), "little")
-    data = b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
-    return int.from_bytes(data, "little")
 
 
 def _tables(size, keys, entries):
@@ -138,7 +129,7 @@ class _Kernel:
 
     A row of the core fixes all its columns but the `inner` last ones; an elimination is
     one row over all its points, every column moving, the column summed out last.  A row
-    is one int, its points side by side (`_join`).  Its plan splits the monomials once:
+    is one int, its points side by side (`poly._fields`).  Its plan splits the monomials once:
     one that reads only fixed columns is one scalar per row; those that read only moving
     columns sum to one row per plan; a mixed one is its fixed factors times its multiplier
     times the rows of its moving factor.  Fixed factors are read for a block of up to ROW
@@ -172,6 +163,7 @@ class _Kernel:
         K = precision if p == 2 else (bound * p ** precision).bit_length()
         self.width = F = (bound << K).bit_length()
         self.bytes = max(8, -(-F * len(mods) // 8))  # P / 8: a point's S slots, in bytes
+        self.split, self.join, self.fill = _fields(self.bytes, "little")
         shifts = range(0, F * len(mods), F)
         slots, full = list(zip(shifts, mods)), (1 << F) - 1
         self.space = math.prod(mods)  # |prod_k GR(p^{m_k}, h)|, a bound on any histogram
@@ -418,7 +410,7 @@ class _Kernel:
         """The reader, kept per span, of the rows of a term's entries y, of y * t^r (r < h)
         or of y times the tables read per point; it refers to no kernel."""
         held, others, table, place, _ = term
-        pack, by_t, mul, size, get = self.pack, self.by_t, self.gr.mul, self.bytes, self._read
+        pack, by_t, mul, join, get = self.pack, self.by_t, self.gr.mul, self.join, self._read
         split = self.gr.h > 1 and bool(held)  # x from fixed factors
 
         def read(at, outer, lo, hi):
@@ -426,7 +418,7 @@ class _Kernel:
             for t, where in others:
                 ys = map(mul, get(t, where, outer, lo, hi), ys)
             columns = zip(*[map(pack, by_t(y)) for y in ys]) if split else [map(pack, ys)]
-            return [_join(column, size) for column in columns]
+            return list(map(join, columns))
         if others or not kept:  # in one row no span is read twice
             return partial(read, place)
         spans = lru_cache(kept)(lambda base, lo, hi: read(((1,), place[1]), (base,), lo, hi))
@@ -457,16 +449,12 @@ class _Kernel:
 
     def _split(self, row, n):
         """The n per-point ints of a packed row."""
-        if self.bytes == 8 and sys.byteorder == "little":
-            return array("Q", row.to_bytes(8 * n, "little")).tolist()
-        data, size = row.to_bytes(n * self.bytes, "little"), self.bytes
-        return [int.from_bytes(data[i:i + size], "little") for i in range(0, n * size, size)]
+        return self.split(row, n)
 
     def _repeat(self, n):
         """1, then each constant of the zero test, at each of n points of a row."""
         if n not in self.repeats:  # each constant fits a point's P bytes
-            self.repeats[n] = [int.from_bytes(c.to_bytes(self.bytes, "little") * n, "little")
-                               for c in [1] + self.test]
+            self.repeats[n] = [self.fill(c, n) for c in [1] + self.test]
         return self.repeats[n]
 
     def _zeros(self, row, n):

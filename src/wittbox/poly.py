@@ -15,7 +15,7 @@ import sys
 from array import array
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, groupby, repeat
-from operator import add, lshift, methodcaller, or_
+from operator import add, lshift, or_
 
 from .errors import ConfigError, ValidationError
 from .fqfield import FieldParams, GRElem, fq, gr_one, gr_zero, power
@@ -299,11 +299,11 @@ def _power_text(name, e):
 
 # -- layouts ------------------------------------------------------------------
 #
-# Slots are whole bytes, so a key converts to and from its exponents with
-# C-level `int.to_bytes`/`int.from_bytes`; slots of 2 to 8 bytes are read as
-# an `array` of machine words, each slot padded to a word by strided copies.
+# Exponent keys (big-endian slots), counting and Witt rows (little-endian) and
+# box's word arrays (native) are ints of fixed-width fields of whole bytes, all
+# converted by `_fields` with C-level `int.to_bytes`/`int.from_bytes`.
 
-_WORDS = {array(code).itemsize: code for code in "QLIHB"}  # bytes -> typecode
+_WORDS = {array(code).itemsize: code for code in "LQIHB"}  # bytes -> code; 'Q' as box's arrays
 
 
 def _width(top: int, width: int = 0) -> int:
@@ -312,49 +312,60 @@ def _width(top: int, width: int = 0) -> int:
     return width if width and top >> width == 0 else (top.bit_length() // 8 + 1) * 8
 
 
-def _reslot(raw, old: int, new: int):
-    """The big-endian slots of `raw`, `old` bytes each, copied to slots of
-    `new` bytes, which must hold their values."""
+def _reslot(raw, old: int, new: int, order: str = "big"):
+    """The fields of the bytes `raw`, `old` bytes each in byte order `order`,
+    copied to fields of `new` bytes, which must hold their values."""
     if old == new:
         return raw
-    out = bytearray(len(raw) // old * new)
-    for b in range(1, min(old, new) + 1):
-        out[new - b::new] = raw[old - b::old]
+    out, k = bytearray(len(raw) // old * new), min(old, new)
+    at, of = (new - k, old - k) if order == "big" else (0, 0)  # the bytes a value occupies
+    for b in range(k):
+        out[at + b::new] = raw[of + b::old]
     return out
 
 
-@lru_cache(maxsize=64)
-def _codec(arity: int, width: int):
-    """(pack, unpack, guard) of this layout: pack takes any sequence of
-    exponents to its key, unpack gives a key's exponents as bytes for
-    one-byte slots, as an array up to 8 bytes, else as a tuple, and guard has
-    the top bit of each slot."""
-    size = width // 8
-    guard = int.from_bytes((b"\x80" + bytes(size - 1)) * arity, "big")
+@lru_cache(maxsize=None)
+def _fields(size: int, order: str):
+    """(read, write, fill) of fields `size` bytes wide in byte order `order`,
+    field 0 first: read(x, n) gives x's n fields as bytes (one byte), an `array`
+    of machine words (up to 8 bytes, each padded to a word) or a list; write
+    takes any iterable of ints but bytes, each fitting a field, to their int;
+    fill(value, n) is the int of n fields holding `value`."""
+    def fill(value, n):
+        return int.from_bytes(value.to_bytes(size, order) * n, order)
     if size == 1:
-        return (lambda exps: int.from_bytes(bytes(exps), "big"),
-                methodcaller("to_bytes", arity, "big"), guard)
+        return (lambda x, n: x.to_bytes(n, order),
+                lambda values: int.from_bytes(bytes(values), order), fill)
     if size > 8:
-        def unpack(key):
-            raw = key.to_bytes(arity * size, "big")
-            return tuple(int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size))
-        return (lambda exps: int.from_bytes(b"".join(e.to_bytes(size, "big") for e in exps), "big"),
-                unpack, guard)
+        def read(x, n):
+            raw = x.to_bytes(n * size, order)
+            return [int.from_bytes(raw[i:i + size], order) for i in range(0, len(raw), size)]
+        return (read, lambda values: int.from_bytes(
+            b"".join(map(int.to_bytes, values, repeat(size), repeat(order))), order), fill)
     word = 1 << (size - 1).bit_length()
-    code, swap = _WORDS[word], sys.byteorder == "little"
+    code, swap = _WORDS[word], order != sys.byteorder
 
-    def unpack(key):
-        words = array(code, _reslot(key.to_bytes(arity * size, "big"), size, word))
+    def read(x, n):
+        words = array(code, _reslot(x.to_bytes(n * size, order), size, word, order))
         if swap:
             words.byteswap()
         return words
 
-    def pack(exps):
-        words = array(code, iter(exps))
+    def write(values):
+        words = array(code, values)
         if swap:
             words.byteswap()
-        return int.from_bytes(_reslot(words.tobytes(), word, size), "big")
-    return pack, unpack, guard
+        return int.from_bytes(words if word == size else
+                              _reslot(words.tobytes(), word, size, order), order)
+    return read, write, fill
+
+
+@lru_cache(maxsize=64)
+def _codec(arity: int, width: int):
+    """(pack, unpack, guard) of this layout: the `_fields` write and read of
+    its keys' slots, and the key with the top bit of each slot set."""
+    read, pack, fill = _fields(width // 8, "big")
+    return pack, lambda key: read(key, arity), fill(1 << width - 1, arity)
 
 
 def _or_slots(f):

@@ -22,14 +22,12 @@ argument, so the other digits of arguments 1 and r fix e01 and e0r.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache, partial, reduce
 from itertools import chain
 
 from .errors import BudgetError, ConfigError, ExactDivisionError, ValidationError
 from .fqfield import power
-from .poly import ZZ, _bound, _merge, _packed_mul, _raw, _terms_in, _width
+from .poly import ZZ, _bound, _fields, _merge, _packed_mul, _raw, _terms_in, _width
 
 SUM = "sum"
 PRODUCT = "product"
@@ -78,14 +76,14 @@ class _Rows:
     """Terms in rows of signed fields `width` bits wide, or one coefficient
     per key when `width` is 0, keyed in slots `slot` bits wide."""
 
-    __slots__ = ("arity", "slot", "low", "mask", "width", "lift", "half", "bias")
+    __slots__ = ("arity", "slot", "low", "mask", "width", "lift", "half", "read", "fill")
 
     def __init__(self, arity, slot, r, width):
         self.arity, self.slot, self.width = arity, slot, width
         self.low, self.mask = slot * (arity - r), (1 << slot) - 1
         self.lift = (1 << slot * (arity - 1)) - (1 << self.low)
         self.half = 1 << width >> 1
-        self.bias = self.half.to_bytes(width // 8, "little")
+        self.read, _, self.fill = _fields(width // 8 or 1, "little")  # no fields at width 0
 
     def encode(self, terms):
         """{row key: row} of a term dict in this layout."""
@@ -105,12 +103,8 @@ class _Rows:
 
     def words(self, row):
         """The fields of a row plus `half`, e0r from 0 up: a zero field reads `half`."""
-        step = self.width // 8
         count = row.bit_length() // self.width + 1
-        raw = (row + int.from_bytes(self.bias * count, "little")).to_bytes(count * step, "little")
-        if step == 8 and sys.byteorder == "little":
-            return array("Q", raw)
-        return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+        return self.read(row + self.fill(self.half, count), count)
 
     def terms(self, rows):
         """The number of terms the rows hold: a row within one field holds one,

@@ -45,12 +45,13 @@ def test_harness_reports_every_rung_and_names_what_differs(tmp_path, monkeypatch
     ab = _ab()
     trees = {side: ab.load(f"wittbox_{side}", SRC) for side in "ab"}
     ladder = [rung for rung in ab.LADDER if rung[0] in ("q7-n3", "q2-wide7")]
-    assert len(ladder) == 2 and (101, 1, 1) in ab.SHAPES
+    assert len(ladder) == 2 and (101, 1, 1) in ab.SHAPES and (2, 3, 3, "product") in ab.WITT
 
     def compare():
         runs = islice(ab.cli_corpus.runs(tmp_path), 18)  # the fixtures, six runs each
         return ab.compare(trees, 1, runs, {"count_ms": ab.count_rungs(trees, ladder),
-                                           "interp_ms": ab.interp_rungs(trees, [(101, 1, 1)])})
+                                           "interp_ms": ab.interp_rungs(trees, [(101, 1, 1)]),
+                                           "witt_ms": ab.witt_rungs(trees, [(2, 3, 3, "product")])})
 
     report = compare()
     assert report["rounds"] == 1 and report["corpus_runs_identical"] == 18
@@ -59,7 +60,9 @@ def test_harness_reports_every_rung_and_names_what_differs(tmp_path, monkeypatch
     assert lines["total"] == sum(count for module, count in lines.items() if module != "total")
     assert list(report["count_ms"]) == ["q7-n3", "q2-wide7"]
     assert list(report["interp_ms"]) == ["q101-n1-m1"]
-    for rung in [*report["count_ms"].values(), *report["interp_ms"].values()]:
+    assert list(report["witt_ms"]) == ["product-233"]
+    for rung in [*report["count_ms"].values(), *report["interp_ms"].values(),
+                 *report["witt_ms"].values()]:
         assert set(rung) == FIELDS and rung["a"] > 0 and rung["b"] > 0 and rung["a_iqr"] == 0
         assert rung["b_won"] in (0, 1) and rung["verdict"] in ("better", "worse")
 

@@ -52,6 +52,16 @@ def test_make_validation():
         box_make(F2, 2, 2, {(2, 1): foreign})
 
 
+def test_teichmuller_box_builds_no_digit_names():
+    # only generators are checked against the n*m digit names, so a box without
+    # any builds none: at n = 10^6 they take a quarter of a second
+    box_variable_names(1, 1)
+    misses = box_variable_names.cache_info().misses
+    spec = teichmuller_box(F2, 4099, 3)
+    assert box_variable_names.cache_info().misses == misses
+    assert spec.generators == {} and spec.base_size() == 2 ** (4099 * 3)
+
+
 def test_zero_generators_are_dropped():
     names = box_variable_names(1, 1)
     dom = FieldDomain(F2)

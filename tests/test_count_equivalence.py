@@ -33,8 +33,8 @@ from wittbox.errors import BudgetError
 from wittbox.fqfield import field_params, fq, fq_enumerate, power
 from wittbox.galois import GRParams, from_digits, int_to_gr, reduce_precision, teichmuller_lift
 from wittbox.instancefile import parse_instance
-from wittbox.kernel import _Kernel, _join
-from wittbox.poly import FieldDomain, MultiPoly, ZZ
+from wittbox.kernel import _Kernel
+from wittbox.poly import FieldDomain, MultiPoly, ZZ, _fields
 
 # (p, h) over every built-in modulus, with the largest nm whose box the
 # reference enumerates in well under a second.
@@ -673,7 +673,7 @@ def test_packed_rows_match_the_list_rows(p, h, monkeypatch):
     def spy(self, plan, outer, lo, hi, scalars):
         row = packed(self, plan, outer, lo, hi, scalars)
         start = self.shift if plan is getattr(self, "plan", None) else 0
-        assert self._split(row, hi - lo) == reference_row(self, plan, outer, lo, hi, start)
+        assert list(self._split(row, hi - lo)) == reference_row(self, plan, outer, lo, hi, start)
         assert row < 1 << 8 * self.bytes * (hi - lo)
         rows.append(plan is getattr(self, "plan", None) and not self.pending)
         return row
@@ -841,7 +841,7 @@ def test_zero_test_at_its_edges(p, h, moduli):
                 points.append(sum(slot(w, e) << t * F for t, (w, e) in enumerate(zip(vs, mods))))
                 expected += all(w % e == 0 for w, e in zip(vs, mods))
     rng.shuffle(points)
-    row = _join(points, kernel.bytes)
-    assert kernel._split(row, len(points)) == points
+    row = _fields(kernel.bytes, "little")[1](points)
+    assert list(kernel._split(row, len(points))) == points
     assert kernel._zeros(row, len(points)) == expected
     assert 0 < expected < len(points)

@@ -7,13 +7,16 @@ polynomial in two slot layouts must compare, hash and render the same, and
 render's term order is checked against a sort of the exponent tuples.
 """
 
+import random
 from itertools import chain
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittbox.fqfield import field_params, fq, fq_enumerate
-from wittbox.poly import FieldDomain, MultiPoly, ZZ, _bound, _codec, _embed, _raw, _terms_in
+from wittbox.poly import FieldDomain, MultiPoly, ZZ, _bound, _codec, _embed, _fields, _raw, _terms_in
 
 F4 = field_params(2, 2)
 DOMAINS = {
@@ -153,6 +156,24 @@ def test_every_slot_size_packs_as_big_endian_bytes():
             for wider in range(size, 11):
                 moved = _terms_in(_raw(ZZ, ("x", "y", "z"), {key: 1}, 8 * size), 8 * wider)
                 assert moved == {_codec(3, 8 * wider)[0](exps): 1}
+
+
+@pytest.mark.parametrize("order", ["big", "little"])
+def test_every_field_size_round_trips_in_both_orders(order):
+    # 1 to 17 bytes: one byte, machine words padded to 2, 4 or 8 bytes (in
+    # little-endian order too, which no caller takes yet) and wider than a
+    # word; the fields' bytes joined, field 0 first, are the oracle
+    rng = random.Random(order)
+    for size in range(1, 18):
+        read, write, fill = _fields(size, order)
+        top = (1 << 8 * size) - 1  # the largest value a field holds
+        for values in ([0, 1, top], [top] * 4, [rng.randrange(top + 1) for _ in range(5)], [7]):
+            x = write(values)
+            assert x == int.from_bytes(b"".join(v.to_bytes(size, order) for v in values), order)
+            assert list(read(x, len(values))) == values
+            assert write(read(x, len(values))) == x
+        assert fill(top, 3) == write([top] * 3) and fill(0, 2) == 0
+        assert list(read(fill(5, 4), 4)) == [5] * 4
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,9 +7,10 @@ Each DIR holds a `wittbox` package and no `__pycache__` (default `--b`: this
 tree's src); both are loaded into this process, as `wittbox_a` and
 `wittbox_b`.  Every run of `tools/cli_corpus.py` must give the same exit code
 and stdout through both trees' `cli.main`, or the run is named on stderr, with
-exit 1.  Then each rung of the counts (LADDER), the interpolations (SHAPES) and
-the set-up probes is timed in N pairs of calls (default 10), and summed up in
-one JSON report on stdout, with the lines of every module of each tree.
+exit 1.  Then each rung of the counts (LADDER), the interpolations (SHAPES), the
+Witt jobs (WITT) and the set-up probes is timed in N pairs of calls (default
+10), and summed up in one JSON report on stdout, with the lines of every module
+of each tree.
 A rung whose two medians are both under a millisecond (most per-module
 `compile_ms` and `body_ms`) always reads `unresolved`, since its spread is
 near the clock's noise floor; a claim rests on rungs of a millisecond or more.
@@ -86,6 +87,9 @@ LADDER = [
 # (q, n, m) of the tables: boxes over F_q with 2n sparse generators
 SHAPES = [(2, 1, nm) for nm in range(10, 17)] + [
     (2, 2, 5), (3, 2, 3), (5, 2, 2), (31, 1, 2), (101, 1, 1), (1009, 1, 1)]
+# (p, n, r, kind) of the Witt jobs of the symbolic workload: the sum it renders
+# and ghost-checks, whose rows of 64-bit fields no count reads, and a product
+WITT = [(3, 3, 3, "sum"), (2, 3, 3, "product")]
 
 BODY_CHILD = r"""
 import importlib.machinery, importlib.util, json, time
@@ -234,6 +238,21 @@ def interp_rungs(trees, shapes):
         yield name, measure
 
 
+def witt_rungs(trees, jobs):
+    """(name, measure) of each Witt job (p, n, r, kind) of `jobs`: the coordinates
+    from a cleared cache, rendered, then their ghost check."""
+    for args in jobs:
+        name = "{3}-{0}{1}{2}".format(*args)
+
+        def measure(side, name=name, args=args):
+            witt = trees[side].witt
+            witt.witt_op_polys.cache_clear()
+            start = time.perf_counter()
+            out = [f.render() for f in witt.witt_op_polys(*args)] + [witt.ghost_check(*args)]
+            return {name: _ms(start)}, out
+        yield name, measure
+
+
 def child(src, argv):
     """(ms, exit code, stdout) of a fresh interpreter on the tree in `src`."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -309,7 +328,7 @@ def main(argv=None):
         instance = Path(tmp) / "example41.ini"
         instance.write_text(cli_corpus.PAPER_EXAMPLES[0][1], encoding="utf-8")
         sections = {"count_ms": count_rungs(trees, LADDER), "interp_ms": interp_rungs(trees, SHAPES),
-                    **setup_rungs(trees, instance)}
+                    "witt_ms": witt_rungs(trees, WITT), **setup_rungs(trees, instance)}
         try:
             report = compare(trees, args.rounds, cli_corpus.runs(Path(tmp)), sections)
         except Mismatch as exc:
