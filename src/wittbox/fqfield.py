@@ -110,10 +110,22 @@ def polymul_mod(modulus, mod, a, b):
     The one multiply-and-reduce routine: F_q is the case mod = p and
     GR(p^M, h) the case mod = p^M.  `modulus` is monic of degree h; the
     result is a tuple of h residues in [0, mod).
+
+    At h = 2 the product is in closed form: with t^2 = -m_1 t - m_0,
+    (a_0 + a_1 t)(b_0 + b_1 t) = (a_0 b_0 - m_0 a_1 b_1) + (a_0 b_1 + a_1 b_0 -
+    m_1 a_1 b_1) t, exact over Z, so it gives what the loop gives for any
+    integer operands.  Three of the four built-in moduli are quadratic, and
+    every h = 2 product lands here: the kernel's powers and column values,
+    the Teichmuller lift's Newton steps, `GRElem` and `box_from_table`'s
+    weights.  At h >= 3 it is a schoolbook product, then the reduction.
     """
     h = len(modulus) - 1
     if h == 1:
         return (a[0] * b[0] % mod,)
+    if h == 2:
+        (a0, a1), (b0, b1) = a, b
+        top = a1 * b1
+        return ((a0 * b0 - modulus[0] * top) % mod, (a0 * b1 + a1 * b0 - modulus[1] * top) % mod)
     prod_ = [0] * (2 * h - 1)
     for i, ai in enumerate(a):
         if ai:

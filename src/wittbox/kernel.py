@@ -29,9 +29,9 @@ ROW = 1 << 10
 class _IntRing:
     """GR(p^precision, h) on plain ints; F_q is the case precision = 1.
 
-    An element is an int when h = 1 and a tuple of h ints otherwise.
-    Products are reduced mod p^precision and sums are not; `reduce` gives
-    the canonical representative.
+    An element is an int when h = 1, else a tuple of h ints multiplied by
+    `polymul_mod` (closed form at h = 2).  Products are reduced mod
+    p^precision and sums are not; `reduce` gives the canonical representative.
     """
 
     def __init__(self, field, precision):

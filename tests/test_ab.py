@@ -46,6 +46,8 @@ def test_harness_reports_every_rung_and_names_what_differs(tmp_path, monkeypatch
     trees = {side: ab.load(f"wittbox_{side}", SRC) for side in "ab"}
     ladder = [rung for rung in ab.LADDER if rung[0] in ("q7-n3", "q2-wide7")]
     assert len(ladder) == 2 and (101, 1, 1) in ab.SHAPES and (2, 3, 3, "product") in ab.WITT
+    # counts at h = 1, at h = 2 (closed-form products) and at h = 3 (the generic loop)
+    assert {text.split("\nh = ")[1][0] for _, text in ab.LADDER} == {"1", "2", "3"}
 
     def compare():
         runs = islice(ab.cli_corpus.runs(tmp_path), 18)  # the fixtures, six runs each

@@ -400,6 +400,38 @@ def test_free_columns_share_one_table_family(caps, monkeypatch):
             assert len(families) == built, (p, h, box)  # tables past the cap build as read
 
 
+# FIELDS holds the built-in moduli only, and at p = 3 and 5 those have no t
+# term.  Over t^2 + t + 2 (m_0 = 2, m_1 = 1) the rows of y * t that `by_t` builds
+# for the fixed factors of multi-row cores carry -m_1 y_1: Teichmuller boxes and
+# boxes with generators, of 729 points (one row at the real ROW) and 6,561.
+LINEAR = "[ring]\np = 3\nh = 2\nmodulus = t^2 + t + 2\n[problem]\nn = {}\nm = {}\n[system]\n"
+LINEAR_BOXES = [
+    LINEAR.format(3, 1) + "f1 = x1^2*x2 + 2*x1*x3 + x2^2*x3 + x3 + 1 mod p^2\n"
+                          "f2 = x1*x2 + x3^2 + 2 mod p^1\n",
+    LINEAR.format(3, 1) + "f1 = x1*x2*x3 + x1^2 + 2*x2 + 1 mod p^2\n"
+                          "[box]\ng[1][2] = x[0][1]*x[0][2] + x[0][2]\n",
+    LINEAR.format(2, 2) + "f1 = x1^3*x2 + 2*x1*x2^2 + x2 + 4 mod p^2\n",
+    LINEAR.format(2, 2) + "f1 = x1^2*x2 + 2*x1*x2 + x2^3 + 1 mod p^2\n"
+                          "[box]\ng[2][2] = x[0][2]*x[1][1] + x[1][2]\n",
+]
+
+
+def test_odd_p_with_a_linear_modulus_term(monkeypatch):
+    # held to the reference at the real caps, then with tables computed in
+    # blocks at a cap of 2 entries and rows of 8, where every core has many rows
+    insts = [parse_instance(text) for text in LINEAR_BOXES]
+    assert all(inst.field.modulus == (2, 1, 1) for inst in insts)
+    expected = [reference_count(inst) for inst in insts]
+    assert all(expected)
+    for caps in (None, (2, 8)):
+        if caps:
+            monkeypatch.setattr(wittbox.kernel, "HISTOGRAM_CAP", caps[0])
+            monkeypatch.setattr(wittbox.kernel, "ROW", caps[1])
+        for inst, count in zip(insts, expected):
+            for parts in PARTITIONS:
+                assert count_zeros(inst, partitions=parts).cardinality == count, (caps, parts)
+
+
 @pytest.mark.parametrize("row", [2, 3])
 def test_blocks_of_rows_end_anywhere(row, monkeypatch):
     # `count` reads the fixed factors of up to ROW rows at once; in rows of 2

@@ -1,9 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
 from wittbox.errors import ValidationError
-from wittbox.fqfield import field_params, fq, fq_enumerate, gr_one, gr_zero
+from wittbox.fqfield import field_params, fq, fq_enumerate, gr_one, gr_zero, polymul_mod
 
 F2 = field_params(2)
 F3 = field_params(3)
@@ -141,3 +142,54 @@ def test_rabin_agrees_with_trial_division(p, max_h):
         for tail in product(range(p), repeat=h):
             modulus = tail + (1,)
             assert _is_irreducible(modulus, p) == _irreducible_by_trial_division(modulus, p), modulus
+
+
+def schoolbook(modulus, mod, a, b):
+    """Reference for `polymul_mod`: a * b over Z, then long division by the
+    monic `modulus` over Z, then each coefficient of the remainder mod `mod`."""
+    h = len(modulus) - 1
+    prod_ = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod_[i + j] += x * y
+    for d in range(len(prod_) - 1, h - 1, -1):
+        lead, prod_[d] = prod_[d], 0
+        for i in range(h):
+            prod_[d - h + i] -= lead * modulus[i]
+    return tuple(c % mod for c in prod_[:h])
+
+
+# Every built-in quadratic modulus, and t^2 + t + 2 over F_3 and F_5, whose
+# m_0 and m_1 are both nonzero at odd p (the built-in ones there have no t term).
+QUADRATICS = [field_params(p, 2, modulus) for p, modulus in
+              [(2, None), (3, None), (5, None), (3, (2, 1, 1)), (5, (2, 1, 1))]]
+
+
+@pytest.mark.parametrize("field", QUADRATICS, ids=lambda f: f"p{f.p}-{f.modulus}")
+def test_quadratic_products_match_the_schoolbook(field):
+    # GR(p^M, 2) for M = 1, 2, 3: every pair of residues where p^M <= 27 (up to
+    # 531,441 pairs), a seeded sample at p^M = 125; then unreduced operands,
+    # negative or at least p^M, which the closed form must reduce as the loop does
+    rng = random.Random(f"{field.p}-{field.modulus}")
+    for precision in (1, 2, 3):
+        mod = field.p ** precision
+        residues = list(product(range(mod), repeat=2))
+        pairs = (product(residues, repeat=2) if mod <= 27 else
+                 [(rng.choice(residues), rng.choice(residues)) for _ in range(20000)])
+        for a, b in pairs:
+            assert polymul_mod(field.modulus, mod, a, b) == schoolbook(field.modulus, mod, a, b)
+        for _ in range(2000):
+            a, b = [tuple(rng.randrange(-3 * mod, 4 * mod) for _ in range(2)) for _ in range(2)]
+            assert polymul_mod(field.modulus, mod, a, b) == schoolbook(field.modulus, mod, a, b)
+
+
+def test_cubic_products_match_the_schoolbook():
+    # h = 3 keeps the generic loop: F_8 over the built-in t^3 + t + 1, and
+    # t^3 + 2t + 1 over F_3, at M = 1 and 3, reduced and unreduced operands
+    rng = random.Random("cubic")
+    for field in (field_params(2, 3), field_params(3, 3, (1, 2, 0, 1))):
+        for precision in (1, 3):
+            mod = field.p ** precision
+            for _ in range(3000):
+                a, b = [tuple(rng.randrange(-mod, 2 * mod) for _ in range(3)) for _ in range(2)]
+                assert polymul_mod(field.modulus, mod, a, b) == schoolbook(field.modulus, mod, a, b)

@@ -67,16 +67,19 @@ def _wide(n):
 
 
 # The teich-q9 benchmark box of seed 1 (6,561 points in 81 rows), then past it:
-# q = 9 at m = 3, q = 25, q = 7 with three linked columns, a q = 2 chain whose
-# generators read the neighbouring columns, q = 2 boxes whose g[2][1] reads every
-# column (a table of 4^7 values held, and 4^9 computed in blocks), and a p = 5
-# chain of six columns, whose eliminations carry the largest messages.
+# q = 9 at m = 3, q = 25, q = 8 (h = 3, the one rung whose ring products take
+# `polymul_mod`'s generic loop), q = 7 with three linked columns, a q = 2 chain
+# whose generators read the neighbouring columns, q = 2 boxes whose g[2][1] reads
+# every column (a table of 4^7 values held, and 4^9 computed in blocks), and a
+# p = 5 chain of six columns, whose eliminations carry the largest messages.
 LADDER = [
     ("teich-q9", _text(3, 2, 2, 2, ["16*x1^3 + 2*x1*x2 + 18*x2^2 mod p^3",
                                     "6*x1^2 + 4*x1*x2 + 2*x2 mod p^2"])),
     ("q9-m3", _text(3, 2, 2, 3, ["5*x1^3 + 19*x1*x2 + 26*x2^2 mod p^3",
                                  "2*x1^2 + 5*x1*x2 + 2*x2 mod p^2"])),
     ("q25-m2", _text(5, 2, 2, 2, ["x1^4 - x2^4 + 5*x1*x2 mod p^3", "2*x1^2 + 3*x2 mod p^1"])),
+    ("q8-h3", _text(2, 3, 2, 2, ["5*x1^3 + 3*x1*x2 + 6*x2^2 mod p^3",
+                                 "x1^2 + 3*x1*x2 + x2 mod p^2"])),
     ("q7-n3", _text(7, 1, 3, 2, ["x1^2*x2 + 3*x2*x3 + 5*x3^2 + 2 mod p^3",
                                  "x1*x3 + 4*x2^2 + x1^3 mod p^2"])),
     ("q2-chain", _chain(8)),
